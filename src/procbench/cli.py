@@ -26,6 +26,7 @@ import numpy as np
 from .control import solve_steady_state_optimum
 from .dataset import read_dataset
 from .envs import ENVIRONMENTS, make_env, validate_episode_config
+from .errors import ProcbenchError
 from .runners import generate_dataset, rollout, stats_row
 
 # Per-environment episodic configuration every build must report.
@@ -273,6 +274,14 @@ def _cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="procbench",
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--env", required=True, choices=sorted(ENVIRONMENTS))
         if controller:
             p.add_argument("--controller", required=True, choices=CONTROLLERS)
-            p.add_argument("--episodes", type=int, default=1)
+            p.add_argument("--episodes", type=positive_int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON config path")
 
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="generate and store an offline dataset")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(handler=_cmd_dataset)
 
     p = sub.add_parser("stats", help="summarize a stored dataset")
@@ -321,8 +330,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProcbenchError, ValueError, OSError, KeyError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import (
+    CorruptMetaError,
     CorruptRowError,
     DimMismatchError,
     EmptyDatasetError,
@@ -236,15 +237,41 @@ def write_dataset(ds: Dataset, path: str) -> None:
             fh.write(",".join(parts) + "\n")
 
 
-def read_dataset(path: str) -> Dataset:
-    with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
+_META_FIELDS = {f.name: f for f in fields(DatasetMeta)}
+_META_INT_KEYS = ("traj_count", "a_dim", "o_dim", "max_steps", "seed")
+
+
+def _meta_from_json(raw) -> DatasetMeta:
+    """Check the parsed ``meta.json`` against ``DatasetMeta``'s fields."""
+    if not isinstance(raw, dict):
+        raise CorruptMetaError("meta.json must hold a JSON object")
     version = raw.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatchError(
             f"dataset format {version!r}; this reader supports {FORMAT_VERSION!r}"
         )
-    meta = DatasetMeta(**raw)
+    missing = [
+        name for name, f in _META_FIELDS.items()
+        if f.default is MISSING and name not in raw
+    ]
+    if missing:
+        raise CorruptMetaError(f"meta.json lacks {', '.join(missing)}")
+    unknown = sorted(set(raw) - set(_META_FIELDS))
+    if unknown:
+        raise CorruptMetaError(f"meta.json has unknown keys {', '.join(unknown)}")
+    bad = [
+        key for key in _META_INT_KEYS
+        if isinstance(raw[key], bool) or not isinstance(raw[key], int)
+    ]
+    if bad:
+        raise CorruptMetaError(f"meta.json needs integer {', '.join(bad)}")
+    return DatasetMeta(**raw)
+
+
+def read_dataset(path: str) -> Dataset:
+    with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    meta = _meta_from_json(raw)
     o_dim, a_dim = meta.o_dim, meta.a_dim
     n_cols = 2 + o_dim + a_dim + 3
     episode_ids, steps, rewards, terminals, timeouts = [], [], [], [], []

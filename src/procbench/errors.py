@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
-Simulation errors (anything derived from ``SimulationError``) are the ones an
-environment converts into a failed episode; the rest signal misuse of an API
-and propagate to the caller.
+Every type derives from ``ProcbenchError``.  Simulation errors (anything
+derived from ``SimulationError``) are the ones an environment converts into a
+failed episode; the rest signal misuse of an API and propagate to the caller.
+The command line reports any ``ProcbenchError`` as a one-line message.
 """
 
 
-class SimulationError(Exception):
+class ProcbenchError(Exception):
+    """Base of every error this package raises on purpose."""
+
+
+class SimulationError(ProcbenchError):
     """A numerical model left its domain of validity."""
 
 
@@ -42,33 +47,37 @@ class ZeroModifierError(SimulationError):
     """Elution isotherm evaluated with a vanishing modifier concentration."""
 
 
-class EpisodeFinishedError(Exception):
+class EpisodeFinishedError(ProcbenchError):
     """step() called on an episode that already terminated or timed out."""
 
 
-class NoFeasibleSteadyStateError(Exception):
+class NoFeasibleSteadyStateError(ProcbenchError):
     """No multi-start candidate produced a feasible converged steady state."""
 
 
-class IllConditionedKernelError(Exception):
+class IllConditionedKernelError(ProcbenchError):
     """GP kernel matrix stayed indefinite after jitter escalation."""
 
 
-class DimMismatchError(Exception):
+class DimMismatchError(ProcbenchError):
     """A recorded transition does not match the dataset's declared shapes."""
 
 
-class InvalidEpisodeError(Exception):
+class InvalidEpisodeError(ProcbenchError):
     """Transition appended to a dataset after its episode was closed."""
 
 
-class FormatVersionMismatchError(Exception):
+class FormatVersionMismatchError(ProcbenchError):
     """Stored dataset uses an unsupported format version."""
 
 
-class CorruptRowError(Exception):
+class CorruptMetaError(ProcbenchError):
+    """A dataset's meta.json is not an object holding the declared fields."""
+
+
+class CorruptRowError(ProcbenchError):
     """A dataset row could not be parsed against the declared schema."""
 
 
-class EmptyDatasetError(Exception):
+class EmptyDatasetError(ProcbenchError):
     """Statistics requested for a dataset with no rows."""

@@ -1,5 +1,6 @@
 """Command-line behaviour: determinism, pipelines, exit codes."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import procbench.cli
+import procbench.errors
 from procbench.cli import main
 from procbench.dataset import read_dataset, stats
 
@@ -129,3 +132,63 @@ def test_env_var_config_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["metadata"]["max_steps"] == 9
+
+
+def test_malformed_meta_is_one_line_error(tmp_path, capsys):
+    (tmp_path / "meta.json").write_text(
+        json.dumps({"format_version": "1", "env": "pensim"})
+    )
+    assert main(["stats", "--data", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CorruptMetaError: meta.json lacks ")
+    assert err.count("\n") == 1
+
+
+ERROR_TYPES = [
+    cls for _, cls in inspect.getmembers(procbench.errors, inspect.isclass)
+    if issubclass(cls, procbench.errors.ProcbenchError)
+]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_package_error_is_a_one_line_exit_1(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("first line\nsecond line")
+
+    monkeypatch.setattr(procbench.cli, "read_dataset", fail)
+    assert main(["stats", "--data", "unused"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.__name__}: first line second line\n"
+
+
+def test_steady_state_without_feasible_candidate_exits_1(monkeypatch, capsys):
+    def no_feasible(*args, **kwargs):
+        raise procbench.errors.NoFeasibleSteadyStateError("no feasible start")
+
+    monkeypatch.setattr(procbench.cli, "solve_steady_state_optimum", no_feasible)
+    assert main(["steady-state", "--env", "reactor", "--seed", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: NoFeasibleSteadyStateError: no feasible start\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rollout", "--env", "reactor", "--controller", "pid", "--episodes", "0"],
+        ["rollout", "--env", "reactor", "--controller", "pid", "--episodes", "-3"],
+        ["dataset", "--env", "reactor", "--controller", "pid", "--out", "x",
+         "--episodes", "0"],
+        ["dataset", "--env", "reactor", "--controller", "pid", "--out", "x",
+         "--jobs", "0"],
+        ["dataset", "--env", "reactor", "--controller", "pid", "--out", "x",
+         "--jobs", "two"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err or "invalid positive_int" in captured.err

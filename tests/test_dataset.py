@@ -15,6 +15,7 @@ from procbench.dataset import (
     write_dataset,
 )
 from procbench.errors import (
+    CorruptMetaError,
     CorruptRowError,
     DimMismatchError,
     EmptyDatasetError,
@@ -178,6 +179,26 @@ def test_format_version_mismatch(tmp_path):
     (tmp_path / "v" / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(FormatVersionMismatchError):
         read_dataset(tmp_path / "v")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: {"format_version": "1", "env": "pensim"},
+        lambda meta: {**meta, "surprise": 1},
+        lambda meta: {**meta, "o_dim": "3"},
+        lambda meta: [meta],
+    ],
+    ids=["missing-keys", "unknown-key", "non-integer-dim", "not-an-object"],
+)
+def test_malformed_meta_rejected(tmp_path, edit):
+    ds = small_dataset()
+    write_dataset(ds, tmp_path / "m")
+    meta = json.loads((tmp_path / "m" / "meta.json").read_text())
+    (tmp_path / "m" / "meta.json").write_text(json.dumps(edit(meta)))
+    with pytest.raises(CorruptMetaError) as info:
+        read_dataset(tmp_path / "m")
+    assert "\n" not in str(info.value)
 
 
 def test_corrupt_row_rejected(tmp_path):

@@ -79,30 +79,77 @@ def test_capture_mass_audit_closes():
     assert abs(fed - (held + out)) <= 0.01 * fed
 
 
-def test_loading_stepper_matches_kernel_rhs_step():
-    p, grid = capture_grid(10, 5)
-    rng = np.random.default_rng(0)
-    c = rng.uniform(0, 1.0, 10)
-    cp = rng.uniform(0, 1.0, (10, 5))
-    q1 = rng.uniform(0, 30.0, 10)
-    q2 = rng.uniform(0, 70.0, 10)
-    v, cf, h = 1.7, 0.8, 5e-4
+def _rk4_loading(fields, v, c_feed, p, grid, dt, h):
+    """Reference march: classical RK4 over ``grm_loading_rhs``."""
+    n = int(np.ceil(dt / h))
+    h = dt / n
+
+    def deriv(y):
+        return list(grm_loading_rhs(*y, v, c_feed, p, grid))
+
+    y = list(fields)
+    for _ in range(n):
+        k1 = deriv(y)
+        k2 = deriv([a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = deriv([a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = deriv([a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y
+
+
+def _rk4_stability_step(p, grid, v):
+    """The explicit-RK4 stability step of the loading model, whose stiffest
+    term is the radial pore diffusion."""
+    dr = p.r_p / grid.n_radial
+    k_f = p.k_f_coeff * v**p.k_f_exp
+    lam = (4.2 * p.d_eff / dr**2 + 2.0 * p.d_ax_factor * v / grid.dz**2
+           + v / (p.eps_c * grid.dz)
+           + 3 * (1 - p.eps_c) * k_f / (p.eps_c * p.r_p)
+           + p.k_1 * (p.q_max1 + 1 / p.k_eq) + p.k_2 * (p.q_max2 + 1 / p.k_eq))
+    return 2.6 / lam
+
+
+@pytest.mark.parametrize("v", [0.01, 3.0])
+def test_loading_stepper_matches_rk4_reference(v):
+    """One one-minute slice from a random loaded state (an empty column
+    loaded for a random time at a random feed, then jittered by 1%), at the
+    stepper's own substep, against RK4 at a quarter of the RK4 stability
+    step."""
+    p, grid = capture_grid(30, 8)
     stepper = LoadingStepper(p, grid)
-    fused = stepper.advance(c, cp, q1, q2, v, cf, h, h)
+    rng = np.random.default_rng(0)
+    c_feed = 10.0 ** rng.uniform(np.log10(0.3), np.log10(30.0))
+    z = np.zeros(grid.n_axial)
+    state = stepper.advance(z, np.zeros((grid.n_axial, grid.n_radial)), z, z,
+                            v, c_feed, rng.uniform(5.0, 60.0))
+    state = [a * rng.uniform(0.99, 1.01, a.shape) for a in state]
+    got = stepper.advance(*state, v, c_feed, 1.0)
+    want = _rk4_loading(state, v, c_feed, p, grid, 1.0,
+                        0.25 * _rk4_stability_step(p, grid, v))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-3 * np.max(np.abs(w))
 
-    def deriv(fields):
-        return list(grm_loading_rhs(fields[0], fields[1], fields[2], fields[3],
-                                    v, cf, p, grid))
 
-    y = [c, cp, q1, q2]
-    k1 = deriv(y)
-    k2 = deriv([a + 0.5 * h * b for a, b in zip(y, k1)])
-    k3 = deriv([a + 0.5 * h * b for a, b in zip(y, k2)])
-    k4 = deriv([a + h * b for a, b in zip(y, k3)])
-    manual = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    for got, want in zip(fused, manual):
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+def test_loading_stepper_conserves_mass_at_operating_point():
+    """Default grid, the env's loading velocity and feed, 120 one-minute
+    slices at the stepper's own substep: fed = held + escaped."""
+    p, grid = capture_grid(30, 8)
+    stepper = LoadingStepper(p, grid)
+    v, c_feed = 0.01, 0.3
+    c = np.zeros(grid.n_axial)
+    cp = np.zeros((grid.n_axial, grid.n_radial))
+    q1 = np.zeros(grid.n_axial)
+    q2 = np.zeros(grid.n_axial)
+    out_mass = 0.0
+    for _ in range(120):
+        prev = c[-1]
+        c, cp, q1, q2 = stepper.advance(c, cp, q1, q2, v, c_feed, 1.0)
+        out_mass += v * 0.5 * (prev + c[-1]) * p.area
+    fed = v * c_feed * p.area * 120.0
+    held = capture_holdup(c, cp, q1, q2, p, grid)
+    assert held > 0.5 * fed  # the column actually loaded
+    assert abs(fed - (held + out_mass)) <= 1e-6 * fed
 
 
 def _march_to_equilibrium(p: ExchangeParams, c0, q0, cs_level):

@@ -1,5 +1,8 @@
 """Integrated antibody environment tests (coarse grids for speed)."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,31 @@ def test_downstream_param_overrides():
     env = MabEnv({**COARSE, "cex": {"k_kin": 0.5}, "loop": {"d_ax_factor": 50.0}})
     assert env.cex.k_kin == 0.5
     assert env.loop.d_ax_factor == 50.0
+
+
+def _assert_same(before, after, path="state"):
+    if dataclasses.is_dataclass(before):
+        assert type(after) is type(before), path
+        for f in dataclasses.fields(before):
+            _assert_same(getattr(before, f.name), getattr(after, f.name),
+                         f"{path}.{f.name}")
+    elif isinstance(before, list):
+        assert len(after) == len(before), path
+        for i, (b, a) in enumerate(zip(before, after)):
+            _assert_same(b, a, f"{path}[{i}]")
+    elif isinstance(before, np.ndarray):
+        assert np.array_equal(before, after), path
+    else:
+        assert before == after, path
+
+
+def test_step_does_not_mutate_previous_state():
+    env = MabEnv(COARSE)  # 90-minute phases: the second step swaps roles
+    env.reset(seed=13)
+    for _ in range(2):
+        prev = env.state
+        snapshot = copy.deepcopy(prev)
+        r = env.step(ACTION)
+        assert not r.failure
+        assert env.state is not prev
+        _assert_same(snapshot, prev)
