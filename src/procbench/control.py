@@ -5,10 +5,17 @@ control transcribed by direct single shooting with piecewise-constant
 inputs, and the steady-state economic optimizer that supplies tracking
 setpoints.
 
-The shooting solver is projected-gradient descent with Armijo backtracking
-on input sequences scaled to the unit box.  Gradients come from forward
-finite differences; systems whose right-hand side broadcasts over leading
-axes get the whole gradient from one batched simulation.
+The shooting solver works on input sequences scaled to the unit box, with
+batched Armijo backtracking over twelve step lengths per iteration.  Each
+iteration runs one batched simulation of the sequence and one forward
+finite-difference bump per input entry, so the model must be a vectorized
+``OdeSystem``.  The tracking cost is the squared sum of a residual vector
+(weighted state errors, input errors and soft box violations); the same
+batch gives its Jacobian, and the search direction is a projected
+Gauss-Newton step on the inputs not held at a bound (Bertsekas, "Projected
+Newton methods for optimization problems with simple constraints", 1982),
+with the projected gradient as fallback.  The economic cost has no
+residuals and takes projected-gradient steps.
 """
 
 from __future__ import annotations
@@ -176,15 +183,36 @@ def _soft_box_penalty(states, x_min, x_max, weight):
     return penalty
 
 
-def _tracking_cost_batch(spec: MpcSpec, sys: OdeSystem, x0, u_batch):
+def _tracking_residual_batch(spec: MpcSpec, sys: OdeSystem, x0, u_batch):
+    """Residual vector whose squared sum is the tracking cost.
+
+    Per input sequence: sqrt(Q)-weighted state errors at the stage
+    endpoints, sqrt(R)-weighted input errors and sqrt(soft_weight)-weighted
+    state-box violations, flattened to shape (..., p).
+    """
     states = _simulate_stages(sys, x0, u_batch, spec.dt, spec.n_substeps)
+    batch_shape = np.shape(u_batch)[:-2]
+    root_soft = np.sqrt(spec.soft_weight)
     with np.errstate(all="ignore"):
-        dx = states - spec.x_setpoint
-        du = u_batch - spec.u_setpoint
-        cost = np.sum(dx**2 * spec.q_weights, axis=(-2, -1))
-        cost = cost + np.sum(du**2 * spec.r_weights, axis=(-2, -1))
-        cost = cost + _soft_box_penalty(states, spec.x_min, spec.x_max, spec.soft_weight)
+        parts = [
+            np.sqrt(spec.q_weights) * (states - spec.x_setpoint),
+            np.sqrt(spec.r_weights) * (u_batch - spec.u_setpoint),
+        ]
+        if spec.x_min is not None:
+            parts.append(root_soft * np.maximum(spec.x_min - states, 0.0))
+        if spec.x_max is not None:
+            parts.append(root_soft * np.maximum(states - spec.x_max, 0.0))
+    return np.concatenate([p.reshape(batch_shape + (-1,)) for p in parts], axis=-1)
+
+
+def _squared_sum(residuals):
+    with np.errstate(all="ignore"):
+        cost = np.sum(residuals**2, axis=-1)
     return np.where(np.isfinite(cost), cost, np.inf)
+
+
+def _tracking_cost_batch(spec: MpcSpec, sys: OdeSystem, x0, u_batch):
+    return _squared_sum(_tracking_residual_batch(spec, sys, x0, u_batch))
 
 
 def _economic_cost_batch(spec: EmpcSpec, sys: OdeSystem, x0, u_batch):
@@ -211,42 +239,89 @@ def economic_shooting_cost(spec: EmpcSpec, sys: OdeSystem, x0, u_seq) -> float:
     return float(_economic_cost_batch(spec, sys, x0, u_seq[None])[0])
 
 
-def _fd_gradient_batch(cost_batch, u_seq, steps):
-    """Forward-difference gradient via one batched cost evaluation."""
+def _require_vectorized(sys: OdeSystem) -> None:
+    if not sys.vectorized:
+        raise ValueError(
+            "shooting solvers need a vectorized OdeSystem (rhs broadcasting "
+            "over leading batch axes)"
+        )
+
+
+def _fd_batch(u_seq, steps):
+    """The base sequence followed by one forward bump per input entry."""
     n, m = u_seq.shape
-    flat = u_seq.ravel()
-    batch = np.tile(flat, (n * m + 1, 1))
+    batch = np.tile(u_seq.ravel(), (n * m + 1, 1))
     batch[1:] += np.diag(steps.ravel())
-    costs = cost_batch(batch.reshape(n * m + 1, n, m))
-    base = costs[0]
-    grad = (costs[1:] - base) / steps.ravel()
-    return base, grad.reshape(n, m)
+    return batch.reshape(n * m + 1, n, m)
 
 
-def _fd_gradient_loop(cost_batch, u_seq, steps):
-    n, m = u_seq.shape
-    base = cost_batch(u_seq[None])[0]
-    grad = np.empty(n * m)
-    flat = u_seq.ravel()
-    for j in range(n * m):
-        bumped = flat.copy()
-        bumped[j] += steps.ravel()[j]
-        grad[j] = (cost_batch(bumped.reshape(1, n, m))[0] - base) / steps.ravel()[j]
-    return base, grad.reshape(n, m)
+def _fd_gradient_batch(cost_batch, u_seq, steps):
+    """Forward-difference gradient via one batched cost evaluation.
+
+    An infinite cost (a runaway rollout) gives a non-finite gradient entry,
+    which the solver treats as data, so the subtraction is silenced.
+    """
+    costs = cost_batch(_fd_batch(u_seq, steps))
+    with np.errstate(invalid="ignore"):
+        grad = (costs[1:] - costs[0]) / steps.ravel()
+    return costs[0], grad.reshape(u_seq.shape)
+
+
+def _fd_gauss_newton_model(residual_batch, u_seq, steps):
+    """Cost, gradient and residual Jacobian from one batched rollout.
+
+    Returns ``(cost, grad, (jac_t, res))`` with ``jac_t[j]`` the forward
+    difference of the residual vector ``res`` along input entry j and
+    ``grad = 2 jac_t @ res``.  When a residual or a Jacobian entry is not
+    finite the model is ``None`` and the gradient is the forward difference
+    of the costs, as for a cost without residuals.
+    """
+    residuals = residual_batch(_fd_batch(u_seq, steps))
+    costs = _squared_sum(residuals)
+    with np.errstate(all="ignore"):
+        res = residuals[0]
+        jac_t = (residuals[1:] - res) / steps.reshape(-1, 1)
+        if np.all(np.isfinite(jac_t)) and np.all(np.isfinite(res)):
+            grad = 2.0 * (jac_t @ res)
+            return costs[0], grad.reshape(u_seq.shape), (jac_t, res)
+        grad = (costs[1:] - costs[0]) / steps.ravel()
+    return costs[0], grad.reshape(u_seq.shape), None
 
 
 def shooting_gradient(spec: MpcSpec, sys: OdeSystem, x0, u_seq) -> np.ndarray:
     """Forward-difference gradient of the tracking shooting cost."""
+    _require_vectorized(sys)
     u_seq = np.asarray(u_seq, float)
     scale = np.maximum(spec.u_max - spec.u_min, 1e-12)
     steps = np.broadcast_to(spec.fd_step * scale, u_seq.shape).copy()
     cost_batch = lambda ub: _tracking_cost_batch(spec, sys, x0, ub)
-    fd = _fd_gradient_batch if sys.vectorized else _fd_gradient_loop
-    return fd(cost_batch, u_seq, steps)[1]
+    return _fd_gradient_batch(cost_batch, u_seq, steps)[1]
 
 
-def _solve_projected(cost_batch, u_init, u_min, u_max, spec, vectorized):
-    """Projected-gradient descent with Armijo backtracking, unit-box scaled."""
+def _gauss_newton_direction(z, grad, model):
+    """Gauss-Newton step on the free inputs of the unit box.
+
+    An input at a bound whose gradient points out of the box is held there;
+    the others take the least-squares step of the linearized residuals.
+    """
+    jac_t, res = model
+    held = ((z <= 0.0) & (grad > 0.0)) | ((z >= 1.0) & (grad < 0.0))
+    free = ~held.ravel()
+    step = np.zeros(z.size)
+    step[free] = np.linalg.lstsq(jac_t[free].T, -res, rcond=None)[0]
+    return step.reshape(z.shape)
+
+
+def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None):
+    """Projected descent with batched Armijo backtracking, unit-box scaled.
+
+    With ``residual_batch`` (a cost that is the squared sum of residuals)
+    each iteration first tries the Gauss-Newton direction, accepting a
+    point of the projected arc clip(z + alpha d) on sufficient decrease
+    against the gradient; when no candidate passes, or the Jacobian is not
+    finite, it falls back to the projected-gradient step.  Without it the
+    direction is the negative forward-difference gradient.
+    """
     n, m = u_init.shape
     scale = np.maximum(u_max - u_min, 1e-12)
     lo = np.broadcast_to(u_min, (n, m))
@@ -256,38 +331,56 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, vectorized):
         return lo + zz * scale
 
     steps = np.full((n, m), spec.fd_step)
-    fd = _fd_gradient_batch if vectorized else _fd_gradient_loop
 
     def scaled_cost_batch(z_batch):
-        return cost_batch(lo + z_batch * scale)
+        return cost_batch(to_u(z_batch))
+
+    if residual_batch is None:
+        def linearize(zz):
+            return _fd_gradient_batch(scaled_cost_batch, zz, steps) + (None,)
+    else:
+        def linearize(zz):
+            return _fd_gauss_newton_model(
+                lambda z_batch: residual_batch(to_u(z_batch)), zz, steps
+            )
 
     shrinks = spec.armijo_shrink ** np.arange(12)
     alphas = spec.armijo_init * shrinks
     trace = []
     stalled = False
     iterations = 0
-    cost, grad = fd(scaled_cost_batch, z, steps)
+    cost, grad, model = linearize(z)
     trace.append(float(cost))
     while iterations < spec.max_iterations:
         iterations += 1
         projected_step = z - np.clip(z - grad, 0.0, 1.0)
         if np.max(np.abs(projected_step)) <= spec.grad_tol:
             break
-        # batched backtracking: all candidate step lengths in one rollout
-        cands = np.clip(z[None] - alphas[:, None, None] * grad[None], 0.0, 1.0)
-        cand_costs = scaled_cost_batch(cands)
         accepted = None
-        for a_idx in range(alphas.size):
-            dz = z - cands[a_idx]
-            decrease = (spec.armijo_c / max(alphas[a_idx], 1e-16)) * float(np.sum(dz * dz))
-            if cand_costs[a_idx] <= cost - decrease:
-                accepted = a_idx
-                break
+        if model is not None:
+            direction = _gauss_newton_direction(z, grad, model)
+            cands = np.clip(z[None] + alphas[:, None, None] * direction[None], 0.0, 1.0)
+            cand_costs = scaled_cost_batch(cands)
+            for a_idx in range(alphas.size):
+                predicted = float(np.sum(grad * (z - cands[a_idx])))
+                if predicted > 0.0 and cand_costs[a_idx] <= cost - spec.armijo_c * predicted:
+                    accepted = cands[a_idx]
+                    break
+        if accepted is None:
+            # batched backtracking: all candidate step lengths in one rollout
+            cands = np.clip(z[None] - alphas[:, None, None] * grad[None], 0.0, 1.0)
+            cand_costs = scaled_cost_batch(cands)
+            for a_idx in range(alphas.size):
+                dz = z - cands[a_idx]
+                decrease = (spec.armijo_c / max(alphas[a_idx], 1e-16)) * float(np.sum(dz * dz))
+                if cand_costs[a_idx] <= cost - decrease:
+                    accepted = cands[a_idx]
+                    break
         if accepted is None:
             stalled = True
             break
-        z = cands[accepted]
-        cost, grad = fd(scaled_cost_batch, z, steps)
+        z = accepted
+        cost, grad, model = linearize(z)
         trace.append(float(cost))
     u_star = to_u(z)
     return MpcSolution(
@@ -327,20 +420,23 @@ def _warm_or(u_default, warm, n, m):
 def solve_mpc(spec: MpcSpec, sys: OdeSystem, x0, warm=None) -> MpcSolution:
     """Receding-horizon tracking solve; apply ``u0``, keep ``u_sequence``
     for the next warm start (it is shifted by one stage internally)."""
+    _require_vectorized(sys)
     m = spec.u_min.size
     u_init = np.tile(np.clip(spec.u_setpoint, spec.u_min, spec.u_max), (spec.horizon, 1))
     u_init = _warm_or(u_init, warm, spec.horizon, m)
     cost_batch = lambda ub: _tracking_cost_batch(spec, sys, x0, ub)
-    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec, sys.vectorized)
+    residual_batch = lambda ub: _tracking_residual_batch(spec, sys, x0, ub)
+    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec, residual_batch)
 
 
 def solve_empc(spec: EmpcSpec, sys: OdeSystem, x0, warm=None) -> MpcSolution:
     """Receding-horizon economic solve (maximizes the stage value)."""
+    _require_vectorized(sys)
     m = spec.u_min.size
     u_init = np.tile(0.5 * (spec.u_min + spec.u_max), (spec.horizon, 1))
     u_init = _warm_or(u_init, warm, spec.horizon, m)
     cost_batch = lambda ub: _economic_cost_batch(spec, sys, x0, ub)
-    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec, sys.vectorized)
+    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec)
 
 
 # -- steady-state economic optimization ---------------------------------------

@@ -32,8 +32,7 @@ class OdeSystem:
     ``rhs`` must be pure and return a derivative of length ``dim``.  When
     ``vectorized`` is set, ``rhs`` additionally accepts states (and inputs)
     with leading batch axes and broadcasts elementwise; the shooting-based
-    controllers exploit this to evaluate finite-difference gradients in one
-    pass.
+    controllers require this, to evaluate finite differences in one pass.
     """
 
     dim: int

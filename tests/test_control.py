@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from procbench.control import (
     EmpcSpec,
@@ -150,6 +151,91 @@ def test_gradient_matches_central_difference_oracle():
             ) / (2.0 * step)
         denom = max(np.max(np.abs(central)), 1e-12)
         assert np.max(np.abs(grad - central)) / denom < 1e-4
+
+
+def test_shooting_solvers_reject_non_vectorized_system():
+    scalar_only = OdeSystem(dim=1, rhs=lambda t, x, u: u)
+    x0 = np.array([1.0])
+    with pytest.raises(ValueError, match="vectorized"):
+        solve_mpc(scalar_spec(), scalar_only, x0)
+    with pytest.raises(ValueError, match="vectorized"):
+        shooting_gradient(scalar_spec(), scalar_only, x0, np.zeros((1, 1)))
+    economic = EmpcSpec(horizon=1, dt=1.0, stage_value=lambda X, U: U[..., 0],
+                        u_min=[0.0], u_max=[5.0])
+    with pytest.raises(ValueError, match="vectorized"):
+        solve_empc(economic, scalar_only, x0)
+
+
+def test_reactor_first_tracking_solves_converge():
+    from procbench.envs.reactor import ReactorEnv
+    from procbench.policies import reactor_mpc_spec
+
+    env = ReactorEnv()
+    spec = reactor_mpc_spec(env)
+    for seed in range(10):
+        x0 = env.init_box.sample(np.random.default_rng(seed))
+        sol = solve_mpc(spec, env.system, x0)
+        assert sol.iterations < spec.max_iterations, seed
+        assert not sol.stalled, seed
+        assert np.all(np.diff(sol.cost_trace) <= 0.0), seed
+
+
+def _linear_tracking_oracle(a, b, spec, x0):
+    """Box-constrained least squares on the exact affine map from inputs to
+    residuals of one RK4 step per stage on dx/dt = a x + b u."""
+    ha = spec.dt * a
+    eye = np.eye(a.shape[0])
+    phi = eye + ha + ha @ ha / 2.0 + ha @ ha @ ha / 6.0 + ha @ ha @ ha @ ha / 24.0
+    gamma = spec.dt * (eye + ha / 2.0 + ha @ ha / 6.0 + ha @ ha @ ha / 24.0) @ b
+    n, m = spec.horizon, b.shape[1]
+    root_q, root_r = np.sqrt(spec.q_weights), np.sqrt(spec.r_weights)
+    sens = np.zeros((a.shape[0], n * m))
+    x = np.asarray(x0, float)
+    rows, offsets = [], []
+    for k in range(n):
+        sens = phi @ sens
+        sens[:, k * m:(k + 1) * m] += gamma
+        x = phi @ x
+        rows.append(root_q[:, None] * sens)
+        offsets.append(root_q * (x - spec.x_setpoint))
+    rows.append(np.kron(np.eye(n), np.diag(root_r)))
+    offsets.append(-np.tile(root_r * spec.u_setpoint, n))
+    res = optimize.lsq_linear(
+        np.vstack(rows), -np.concatenate(offsets),
+        bounds=(np.tile(spec.u_min, n), np.tile(spec.u_max, n)),
+        method="bvls", tol=1e-15,
+    )
+    return res.x.reshape(n, m)
+
+
+@pytest.mark.parametrize("x0, max_iterations", [
+    # input 1's setpoint lies below its box, so the first iterate already
+    # holds it on the optimal face: one Gauss-Newton step is exact and the
+    # second iteration only confirms it
+    ([1.2, -0.3], 2),
+    ([1.5, 0.0], 2),
+    # here the first step holds the wrong inputs; projection corrects it
+    ([0.5, 0.0], 5),
+])
+def test_solve_mpc_matches_lsq_linear_on_box_constrained_linear_system(
+    x0, max_iterations
+):
+    a = np.array([[-0.5, 0.3], [0.2, -0.8]])
+    b = np.array([[1.0, 0.0], [0.4, 0.7]])
+    linear = OdeSystem(dim=2, rhs=lambda t, x, u: x @ a.T + u @ b.T, vectorized=True)
+    # forward differences of an affine residual are exact at any step, so a
+    # wide step only removes roundoff from the Jacobian
+    spec = MpcSpec(
+        horizon=4, dt=0.5, q_weights=[1.0, 2.0], r_weights=[1.0, 0.05],
+        x_setpoint=[1.0, -0.5], u_setpoint=[-3.0, 0.0],
+        u_min=[-1.0, -1.0], u_max=[1.0, 1.0], fd_step=1e-4,
+    )
+    sol = solve_mpc(spec, linear, np.array(x0))
+    expected = _linear_tracking_oracle(a, b, spec, x0)
+    assert np.any(expected == -1.0)  # the box binds at the optimum
+    assert not sol.stalled
+    assert sol.iterations <= max_iterations
+    assert np.max(np.abs(sol.u_sequence - expected)) <= 1e-9
 
 
 def test_weight_scaling_leaves_argmin_unchanged():

@@ -56,6 +56,20 @@ def test_atropine_mpc_steers_output_toward_steady_point():
     assert abs(obs[2]) < max(first_dev, 1.0)  # output deviation regulated
 
 
+@pytest.mark.filterwarnings("error")
+def test_reactor_empc_runaway_start_stalls_quietly():
+    # the mid-box initial guess predicts a thermal runaway from this state,
+    # so every finite-difference rollout is infinite
+    env = make_env("reactor")
+    policy = make_policy(env, "empc")
+    obs = env.reset(seed=3)
+    policy.reset(3)
+    action = policy.act(obs)
+    assert policy.last_solution.stalled
+    assert env.action_space.contains(action)
+
+
+@pytest.mark.filterwarnings("error")
 def test_mab_policies_produce_valid_actions():
     cfg = {
         "grids": {"capture_axial": 8, "capture_radial": 3,
