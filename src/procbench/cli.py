@@ -220,7 +220,7 @@ def _cmd_steady_state(args) -> int:
             return (rates.r_p - rates.r_h) * x[6] * 1e-3
 
         x_s, u_s, value = solve_steady_state_optimum(
-            _pensim_system(env),
+            env.system,
             stage,
             env.action_space.low,
             env.action_space.high,
@@ -230,7 +230,7 @@ def _cmd_steady_state(args) -> int:
             n_starts=4,
             seed=args.seed,
         )
-        residual = float(np.max(np.abs(_pensim_system(env).rhs(0.0, x_s, u_s))))
+        residual = float(np.max(np.abs(env.system.rhs(0.0, x_s, u_s))))
     else:
         print(f"steady-state is not defined for {args.env!r} (batch process)",
               file=sys.stderr)
@@ -249,16 +249,6 @@ def _cmd_steady_state(args) -> int:
         )
     )
     return 0
-
-
-def _pensim_system(env):
-    from .kernels import OdeSystem
-    from .envs.pensim import N_STATES
-
-    def rhs(t, x, u):
-        return np.asarray(env.rhs_tuple(tuple(x), tuple(u)), float)
-
-    return OdeSystem(dim=N_STATES, rhs=rhs)
 
 
 def _cmd_validate(args) -> int:

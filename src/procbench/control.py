@@ -27,7 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import NoFeasibleSteadyStateError, SimulationError
-from .kernels import OdeSystem, solve_steady_state
+from .kernels import OdeSystem, rk4_step, solve_steady_state
 
 # -- PID ---------------------------------------------------------------------
 
@@ -40,7 +40,6 @@ class PidGains:
     u_min: float = -np.inf
     u_max: float = np.inf
     bias: float = 0.0
-    anti_windup: bool = True  # freeze the integral while the output saturates
 
     def __post_init__(self):
         if not self.u_min < self.u_max:
@@ -62,7 +61,7 @@ def pid_step(
 ) -> tuple[float, PidState]:
     """One PID update with rectangle-rule integration.
 
-    Returns the clamped output and the successor state.  With anti-windup
+    Returns the clamped output and the successor state.  Clamp anti-windup:
     the integral only advances when the unclamped output stays in range.
     """
     if dt <= 0.0:
@@ -72,7 +71,7 @@ def pid_step(
     derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
     u_raw = gains.bias + gains.k_p * error + gains.k_i * integral + gains.k_d * derivative
     u = min(max(u_raw, gains.u_min), gains.u_max)
-    if gains.anti_windup and u != u_raw:
+    if u != u_raw:
         integral = state.integral  # hold while saturated
     return u, PidState(integral=integral, prev_error=error)
 
@@ -97,9 +96,6 @@ class MpcSpec:
     max_iterations: int = 200
     grad_tol: float = 1e-6
     fd_step: float = 1e-7
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_init: float = 1.0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -125,9 +121,6 @@ class EmpcSpec:
     max_iterations: int = 200
     grad_tol: float = 1e-6
     fd_step: float = 1e-7
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_init: float = 1.0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -163,11 +156,7 @@ def _simulate_stages(sys: OdeSystem, x0, u_seq, dt: float, n_substeps: int):
         for k in range(n):
             u = u_seq[..., k, :]
             for _ in range(n_substeps):
-                k1 = sys.rhs(0.0, x, u)
-                k2 = sys.rhs(0.0, x + 0.5 * h * k1, u)
-                k3 = sys.rhs(0.0, x + 0.5 * h * k2, u)
-                k4 = sys.rhs(0.0, x + h * k3, u)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = rk4_step(sys, 0.0, x, u, h, check=False)
             states[..., k, :] = x
     return states
 
@@ -312,6 +301,12 @@ def _gauss_newton_direction(z, grad, model):
     return step.reshape(z.shape)
 
 
+# Armijo sufficient-decrease constant and the twelve trial step lengths
+# 1, 1/2, ..., 1/2048 that every backtracking batch evaluates.
+_ARMIJO_C = 1e-4
+_ALPHAS = 0.5 ** np.arange(12)
+
+
 def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None):
     """Projected descent with batched Armijo backtracking, unit-box scaled.
 
@@ -344,8 +339,6 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
                 lambda z_batch: residual_batch(to_u(z_batch)), zz, steps
             )
 
-    shrinks = spec.armijo_shrink ** np.arange(12)
-    alphas = spec.armijo_init * shrinks
     trace = []
     stalled = False
     iterations = 0
@@ -359,20 +352,20 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
         accepted = None
         if model is not None:
             direction = _gauss_newton_direction(z, grad, model)
-            cands = np.clip(z[None] + alphas[:, None, None] * direction[None], 0.0, 1.0)
+            cands = np.clip(z[None] + _ALPHAS[:, None, None] * direction[None], 0.0, 1.0)
             cand_costs = scaled_cost_batch(cands)
-            for a_idx in range(alphas.size):
+            for a_idx in range(_ALPHAS.size):
                 predicted = float(np.sum(grad * (z - cands[a_idx])))
-                if predicted > 0.0 and cand_costs[a_idx] <= cost - spec.armijo_c * predicted:
+                if predicted > 0.0 and cand_costs[a_idx] <= cost - _ARMIJO_C * predicted:
                     accepted = cands[a_idx]
                     break
         if accepted is None:
             # batched backtracking: all candidate step lengths in one rollout
-            cands = np.clip(z[None] - alphas[:, None, None] * grad[None], 0.0, 1.0)
+            cands = np.clip(z[None] - _ALPHAS[:, None, None] * grad[None], 0.0, 1.0)
             cand_costs = scaled_cost_batch(cands)
-            for a_idx in range(alphas.size):
+            for a_idx in range(_ALPHAS.size):
                 dz = z - cands[a_idx]
-                decrease = (spec.armijo_c / max(alphas[a_idx], 1e-16)) * float(np.sum(dz * dz))
+                decrease = (_ARMIJO_C / max(_ALPHAS[a_idx], 1e-16)) * float(np.sum(dz * dz))
                 if cand_costs[a_idx] <= cost - decrease:
                     accepted = cands[a_idx]
                     break
@@ -391,12 +384,6 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
         stalled=stalled,
         cost_trace=trace,
     )
-
-
-def mpc_spec_from_config(config: dict) -> MpcSpec:
-    """Build a tracking spec from a JSON-style dictionary (field names match
-    the dataclass)."""
-    return MpcSpec(**config)
 
 
 def write_cost_trace_csv(solution: MpcSolution, path) -> None:

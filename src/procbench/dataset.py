@@ -268,6 +268,10 @@ def _meta_from_json(raw) -> DatasetMeta:
     return DatasetMeta(**raw)
 
 
+# the only spellings ``write_dataset`` gives the terminal and timeout flags
+_FLAGS = {"0": False, "1": True}
+
+
 def read_dataset(path: str) -> Dataset:
     with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -294,8 +298,12 @@ def read_dataset(path: str) -> Dataset:
                     [float(v) for v in parts[2 + o_dim : 2 + o_dim + a_dim]]
                 )
                 rewards.append(float(parts[2 + o_dim + a_dim]))
-                terminals.append(bool(int(parts[2 + o_dim + a_dim + 1])))
-                timeouts.append(bool(int(parts[2 + o_dim + a_dim + 2])))
+                terminals.append(_FLAGS[parts[2 + o_dim + a_dim + 1]])
+                timeouts.append(_FLAGS[parts[2 + o_dim + a_dim + 2]])
+            except KeyError as exc:
+                raise CorruptRowError(
+                    f"line {lineno}: flag {exc.args[0]!r} is not 0 or 1"
+                ) from exc
             except ValueError as exc:
                 raise CorruptRowError(f"line {lineno}: {exc}") from exc
     n = len(rewards)

@@ -6,15 +6,9 @@ steady-state Kalman filter reconstructs the deviation state from the output,
 and the reward is the negative absolute E-factor (less waste per product is
 better).  Actions are absolute flows in mL/min; the environment converts
 them to deviations from the operating point internally.
-
-The module also carries two structural pieces of the full flowsheet that are
-useful on their own: an instantaneous mixer balance and the finite-volume
-form of an inert tubular reactor section.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -92,47 +86,6 @@ def atropine_reward(e_abs: float) -> float:
 
 
 _DEFAULT_MODEL = LinearPlantModel()
-
-
-def mixer_balance(inlets) -> np.ndarray:
-    """Instantaneous mixing: per-species sum of inlet mass flow rates."""
-    inlets = [np.asarray(s, dtype=float) for s in inlets]
-    if not inlets:
-        raise ValueError("mixer needs at least one inlet stream")
-    shape = inlets[0].shape
-    if any(s.shape != shape for s in inlets):
-        raise ValueError("all inlet streams must carry the same species set")
-    if any(np.any(s < 0.0) for s in inlets):
-        raise ValueError("mass flow rates must be nonnegative")
-    out = np.zeros(shape)
-    for s in inlets:
-        out = out + s
-    return out
-
-
-def tubular_mol_rhs(
-    c: np.ndarray,
-    q_tot: float,
-    dv: float,
-    inlet: np.ndarray | float,
-    rate: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Finite-volume form of a plug-flow reactor section.
-
-    dc[j]/dt = -Q_tot (c[j] - c[j-1]) / dV + r[j], with c[-1] the inlet
-    value.  ``rate`` maps the whole field to per-node reaction rates and
-    defaults to inert transport.
-    """
-    if dv <= 0.0:
-        raise ValueError("segment volume must be positive")
-    c = np.asarray(c, dtype=float)
-    out = np.empty_like(c)
-    w = q_tot / dv
-    out[..., 0] = -w * (c[..., 0] - inlet)
-    out[..., 1:] = -w * (c[..., 1:] - c[..., :-1])
-    if rate is not None:
-        out = out + rate(c)
-    return out
 
 
 DEFAULT_CONFIG: dict = {

@@ -67,6 +67,16 @@ def deep_merge(base: dict, override: dict | None) -> dict:
     return merged
 
 
+def require_positive(key: str, value):
+    """``value`` itself when it is positive (NaN is not); otherwise a
+    ``ValueError`` naming the config key.  Guards step lengths and substep
+    counts, where zero divides by zero and a negative value freezes the
+    plant."""
+    if not value > 0:
+        raise ValueError(f"config key {key!r} must be positive, got {value}")
+    return value
+
+
 class ProcessEnv:
     """Base class implementing the episode semantics.
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import OdeSystem, integrate
 from ..spaces import ContinuousSpace
-from .base import ProcessEnv, deep_merge
+from .base import ProcessEnv, deep_merge, require_positive
 
 STATE_NAMES = ("x_active", "x_latent", "x_dead", "sugar", "ethanol",
                "diacetyl", "ethyl_acetate")
@@ -143,11 +144,15 @@ class BeerEnv(ProcessEnv):
         cfg = deep_merge(DEFAULT_CONFIG, config)
         self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
         self._kinetics = BEER_KINETICS[cfg["kinetics"]]
-        self.step_hours = float(cfg["step_hours"])
-        self.n_substeps = int(cfg["n_substeps"])
+        self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
+        self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
         self.s_target = float(cfg["s_target"])
         self.x0 = np.asarray(cfg["initial_state"], dtype=float)
         self.init_jitter_rel = float(cfg["init_jitter_rel"])
+        self.system = OdeSystem(
+            dim=len(STATE_NAMES),
+            rhs=lambda t, x, u: beer_rhs(x, self.rates(x, float(u[0]))),
+        )
 
         state_box = ContinuousSpace(
             np.asarray(cfg["state_low"], float), np.asarray(cfg["state_high"], float)
@@ -176,16 +181,8 @@ class BeerEnv(ProcessEnv):
         return state
 
     def _advance(self, state, action):
-        temperature = float(np.asarray(action, float)[0])
         h = self.step_hours / self.n_substeps
-        x = np.asarray(state, dtype=float).copy()
-        for _ in range(self.n_substeps):
-            k1 = beer_rhs(x, self.rates(x, temperature))
-            k2 = beer_rhs(x + 0.5 * h * k1, self.rates(x + 0.5 * h * k1, temperature))
-            k3 = beer_rhs(x + 0.5 * h * k2, self.rates(x + 0.5 * h * k2, temperature))
-            k4 = beer_rhs(x + h * k3, self.rates(x + h * k3, temperature))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x
+        return integrate(self.system, 0.0, state, action, self.step_hours, h)
 
     def _observe(self, state):
         t_norm = self._step_count / self.max_steps

@@ -255,33 +255,6 @@ def exchange_rhs(
     return dc, dq, dcs
 
 
-def elution_rhs(
-    c, q, c_s, v, inlet_c, inlet_cs, grid,
-    p: ExchangeParams | None = None,
-    literal_adsorption_sign: bool = False,
-):
-    """Capture-column elution derivatives (modifier-scaled isotherm)."""
-    return exchange_rhs(
-        c, q, c_s, v, inlet_c, inlet_cs, p or capture_elution_params(), grid,
-        literal_adsorption_sign,
-    )
-
-
-def aex_rhs(c, q, c_s, v, inlet_c, inlet_cs, grid,
-            p: ExchangeParams | None = None):
-    """Anion-exchange (flow-through) derivatives: zero kinetic constant, so
-    nothing binds and the adsorbed phase is frozen."""
-    return exchange_rhs(c, q, c_s, v, inlet_c, inlet_cs, p or aex_params(), grid)
-
-
-def exchange_holdup(
-    c: np.ndarray, q: np.ndarray, p: ExchangeParams, grid: SpatialGrid
-) -> float:
-    """Mass (mg) held in a lumped-adsorption column."""
-    density = p.eps_total * c + (1.0 - p.eps_c) * q
-    return float(density.sum() * grid.dz * p.area)
-
-
 # -- holdup loops ------------------------------------------------------------
 
 
@@ -293,10 +266,6 @@ def loop_rhs(
         raise ValueError("velocity must be nonnegative")
     d_ax = p.d_ax_factor * v
     return central_dispersion(grid, c, d_ax) + upwind_convection(grid, c, v, inlet)
-
-
-def loop_holdup(c: np.ndarray, p: LoopParams, grid: SpatialGrid) -> float:
-    return float(np.sum(c) * grid.dz * p.area)
 
 
 class LoadingStepper:

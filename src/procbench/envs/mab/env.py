@@ -34,7 +34,7 @@ import numpy as np
 
 from ...kernels import SpatialGrid
 from ...spaces import ContinuousSpace
-from ..base import ProcessEnv, deep_merge
+from ..base import ProcessEnv, deep_merge, require_positive
 from .columns import (
     CaptureParams,
     ExchangeParams,
@@ -160,8 +160,16 @@ class MabEnv(ProcessEnv):
             int(g["polish_axial"]), self.cex.length, volume=self.cex.volume
         )
         self._load_stepper = LoadingStepper(self.capture, self.cap_grid)
-        self.step_hours = float(cfg["step_hours"])
-        self.slice_minutes = float(cfg["slice_minutes"])
+        self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
+        self.slice_minutes = require_positive(
+            "slice_minutes", float(cfg["slice_minutes"])
+        )
+        self.n_slices = int(round(self.step_hours * 60.0 / self.slice_minutes))
+        if self.n_slices < 1:
+            raise ValueError(
+                f"slice_minutes {self.slice_minutes} leaves no slice in a "
+                f"{self.step_hours} h step"
+            )
         self.schedule_minutes = float(cfg["schedule_minutes"])
         self.cs_elu_in = float(cfg["elution_modifier_in"])
         self.cs_cex_in = float(cfg["cex_modifier_in"])
@@ -287,7 +295,6 @@ class MabEnv(ProcessEnv):
         v_elu = float(action[IDX_V_ELU])
         v_pol = float(action[IDX_V_POL])
         dt = self.slice_minutes
-        n_slices = int(round(self.step_hours * 60.0 / dt))
 
         s = MabState(
             upstream=state.upstream.copy(),
@@ -309,7 +316,7 @@ class MabEnv(ProcessEnv):
         v_loop_vi = q_elu / self.loop.area
         v_loop_hold = q_pol / self.loop.area
 
-        for _ in range(n_slices):
+        for _ in range(self.n_slices):
             # upstream slice
             s.upstream = integrate_fields(
                 up_deriv, [s.upstream], dt, self._upstream_h0(s.upstream)

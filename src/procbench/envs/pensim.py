@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import DegenerateVolumeError
 from ..kernels import OdeSystem
 from ..spaces import ContinuousSpace
-from .base import ProcessEnv, deep_merge
+from .base import ProcessEnv, deep_merge, require_positive
 
 N_STATES = 7
 N_ACTIONS = 6
@@ -221,8 +221,8 @@ class PenSimEnv(ProcessEnv):
         cfg = deep_merge(DEFAULT_CONFIG, config)
         self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
         self._kinetics = PENSIM_KINETICS[cfg["kinetics"]]
-        self.step_hours = float(cfg["step_hours"])
-        self.n_substeps = int(cfg["n_substeps"])
+        self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
+        self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
         self.feeds = (float(cfg["feed_sugar"]), float(cfg["feed_oil"]))
         self.evaporation_rate = float(cfg["evaporation_rate"])
         self.y_sx = float(cfg["y_sx"])
@@ -252,6 +252,10 @@ class PenSimEnv(ProcessEnv):
             state_box_tol=1e-9,
         )
         self._prev_action: np.ndarray | None = None
+        self.system = OdeSystem(
+            dim=N_STATES,
+            rhs=lambda t, x, u: np.asarray(self.rhs_tuple(tuple(x), tuple(u)), float),
+        )
         fused = PENSIM_FUSED_DERIVS.get(cfg["kinetics"])
         if fused is not None:
             self._deriv = fused(
@@ -284,15 +288,6 @@ class PenSimEnv(ProcessEnv):
             self.m_s,
             self.literal_a1_outflow,
         )
-
-    def system_for(self, action) -> OdeSystem:
-        """Kernel-compatible view of the dynamics at a fixed action."""
-        action = tuple(float(a) for a in np.asarray(action, float))
-
-        def rhs(t, x, u):
-            return np.asarray(self.rhs_tuple(tuple(x), action), dtype=float)
-
-        return OdeSystem(dim=N_STATES, rhs=rhs)
 
     # -- episode hooks -----------------------------------------------------
 

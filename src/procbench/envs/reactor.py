@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DegenerateLevelError
 from ..kernels import OdeSystem, integrate, solve_steady_state
 from ..spaces import ContinuousSpace
-from .base import ProcessEnv, deep_merge
+from .base import ProcessEnv, deep_merge, require_positive
 
 STATE_NAMES = ("c_a", "temp", "level")
 
@@ -125,8 +125,10 @@ class ReactorEnv(ProcessEnv):
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
         self.params = CstrParams(**cfg["params"])
-        self.control_minutes = float(cfg["control_minutes"])
-        self.n_substeps = int(cfg["n_substeps"])
+        self.control_minutes = require_positive(
+            "control_minutes", float(cfg["control_minutes"])
+        )
+        self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
         self.u_nominal = np.asarray(cfg["nominal_inputs"], dtype=float)
         self.system = OdeSystem(
             dim=3,

@@ -19,14 +19,6 @@ class NonFiniteStateError(SimulationError):
     """An integrator or model produced NaN/inf components."""
 
 
-class SingularJacobianError(SimulationError):
-    """Newton iteration could not produce a usable step."""
-
-
-class MaxIterationsError(SimulationError):
-    """An iterative solver hit its iteration budget without converging."""
-
-
 class DegenerateLevelError(SimulationError):
     """Reactor level dropped below the model's validity floor."""
 

@@ -15,12 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    MaxIterationsError,
-    NonFiniteStateError,
-    SimulationError,
-    SingularJacobianError,
-)
+from .errors import NonFiniteStateError, SimulationError
 
 RhsFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
@@ -177,16 +172,14 @@ def solve_steady_state(
     tol: float = 1e-10,
     max_iter: int = 100,
     max_halvings: int = 20,
-    raise_errors: bool = False,
 ) -> SteadyStateResult:
     """Damped Newton solve of ``rhs(x, u) = 0`` from ``x_guess``.
 
     Each Newton step is halved until the residual inf-norm decreases (up to
     ``max_halvings`` times).  Rank-deficient Jacobians fall back to a
     least-squares (minimum-norm) step, which leaves unobservable directions
-    such as a pure-integrator level untouched.  With ``raise_errors`` the
-    named solver exceptions are raised instead of reporting a non-converged
-    result.
+    such as a pure-integrator level untouched.  A solve that cannot make
+    progress returns a result with ``converged`` false.
     """
     x = np.array(x_guess, dtype=float, copy=True)
     _require_finite(x, "steady-state guess")
@@ -208,10 +201,6 @@ def solve_steady_state(
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
         if not np.all(np.isfinite(step)):
-            if raise_errors:
-                raise SingularJacobianError(
-                    "Newton step is non-finite; Jacobian is singular"
-                )
             return SteadyStateResult(x, norm, False, iterations)
         alpha = 1.0
         improved = False
@@ -231,13 +220,7 @@ def solve_steady_state(
         iterations += 1
         if not improved:
             break
-    converged = norm <= tol
-    if not converged and raise_errors:
-        raise MaxIterationsError(
-            f"no convergence after {iterations} iterations "
-            f"(residual {norm:.3e} > tol {tol:.1e})"
-        )
-    return SteadyStateResult(x, norm, converged, iterations)
+    return SteadyStateResult(x, norm, norm <= tol, iterations)
 
 
 def upwind_convection(

@@ -10,10 +10,10 @@ env/controller pairs:
     mab:      zero, random, mpc, empc
     beer:     zero, random
 
-The shooting controllers predict with each environment's own model; the
-atropine controller predicts with its identified discrete-time model, so
-its rollout reuses the projected-gradient machinery on a discrete
-propagator.
+The shooting controllers predict with each environment's own model and
+share the solver in ``control``.  The atropine controller predicts with its
+identified discrete-time model and runs its own copy of a projected-gradient
+loop; it does not use the shared solver.
 """
 
 from __future__ import annotations
@@ -182,8 +182,10 @@ def reactor_empc_spec(env: ReactorEnv, horizon: int = 20) -> EmpcSpec:
 class AtropineMpcPolicy(Policy):
     """Output tracking on the identified deviation model.
 
-    The projected-gradient solver works on a discrete propagator here, so
-    the shooting simulation is an exact linear rollout.
+    A private projected-gradient loop, separate from the shared shooting
+    solver in ``control``: forward-difference gradients over exact linear
+    rollouts of the discrete model, ten halving step lengths, at most 80
+    iterations.
     """
 
     def __init__(self, env: AtropineEnv, horizon: int = 20,

@@ -1,4 +1,4 @@
-"""Atropine linear-plant, filter and flowsheet-piece tests."""
+"""Atropine linear-plant, filter and episode tests."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from procbench.envs.atropine import (
     kalman_update,
     lin_output,
     lin_step,
-    mixer_balance,
-    tubular_mol_rhs,
 )
 
 
@@ -90,46 +88,6 @@ def test_reward_examples():
     assert atropine_reward(13.057) == -13.057
     assert atropine_reward(0.0) == 0.0
     assert atropine_reward(5.0) > atropine_reward(9.0)
-
-
-def test_mixer_examples():
-    single = mixer_balance([np.array([1.0, 2.0, 3.0])])
-    assert np.array_equal(single, [1.0, 2.0, 3.0])
-    two = mixer_balance([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-    assert np.array_equal(two, [4.0, 6.0])
-    rng = np.random.default_rng(2)
-    streams = [rng.uniform(0.0, 5.0, 6) for _ in range(7)]
-    total = np.zeros(6)
-    for s in streams:  # independent fold-sum
-        total += s
-    assert np.allclose(mixer_balance(streams), total, atol=1e-12)
-    with pytest.raises(ValueError):
-        mixer_balance([np.array([1.0]), np.array([1.0, 2.0])])
-    with pytest.raises(ValueError):
-        mixer_balance([np.array([-1.0])])
-
-
-def test_tubular_uniform_at_inlet_value_is_static():
-    c = np.full(8, 0.4)
-    out = tubular_mol_rhs(c, q_tot=2.0, dv=0.5, inlet=0.4)
-    assert np.max(np.abs(out)) == 0.0
-
-
-def test_tubular_pulse_moves_downstream_only():
-    c = np.zeros(8)
-    c[3] = 1.0
-    out = tubular_mol_rhs(c, q_tot=1.0, dv=0.25, inlet=0.0)
-    assert out[3] < 0.0 and out[4] > 0.0
-    mask = np.ones(8, bool)
-    mask[[3, 4]] = False
-    assert np.max(np.abs(out[mask])) == 0.0
-
-
-def test_tubular_linear_profile_constant_convection():
-    slope = 0.3
-    c = slope * np.arange(1, 11)
-    out = tubular_mol_rhs(c, q_tot=2.0, dv=0.5, inlet=0.0)
-    assert np.allclose(out[1:], -2.0 * slope / 0.5, atol=1e-12)
 
 
 def test_episode_at_operating_point_stays_there():

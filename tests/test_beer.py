@@ -131,3 +131,26 @@ def test_out_of_band_temperature_fails():
 
 def test_reward_floor():
     assert BeerEnv().reward_floor() == -1.0
+
+
+def test_advance_matches_hand_rk4_loop():
+    """BeerEnv steps through kernels.integrate; pinned bit-for-bit to a
+    hand-written RK4 loop over a seeded random-temperature episode."""
+    env = BeerEnv()
+    env.reset(seed=6)
+    rng = np.random.default_rng(6)
+    h = env.step_hours / env.n_substeps
+    for _ in range(env.max_steps):
+        temperature = rng.uniform(env.action_space.low[0], env.action_space.high[0])
+        x = env.state.copy()
+        for _ in range(env.n_substeps):
+            k1 = beer_rhs(x, env.rates(x, temperature))
+            k2 = beer_rhs(x + 0.5 * h * k1, env.rates(x + 0.5 * h * k1, temperature))
+            k3 = beer_rhs(x + 0.5 * h * k2, env.rates(x + 0.5 * h * k2, temperature))
+            k4 = beer_rhs(x + h * k3, env.rates(x + h * k3, temperature))
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(env._advance(env.state, np.array([temperature])), x)
+        r = env.step([temperature])
+        assert not r.failure
+        if r.terminal or r.timeout:
+            break

@@ -310,12 +310,11 @@ def test_steady_state_optimum_no_feasible():
 
 
 def test_spec_from_config_and_trace_csv(tmp_path):
-    from procbench.control import mpc_spec_from_config, write_cost_trace_csv
+    from procbench.control import write_cost_trace_csv
 
-    spec = mpc_spec_from_config(
-        dict(horizon=2, dt=0.5, q_weights=[1.0], r_weights=[0.1],
-             x_setpoint=[0.0], u_setpoint=[0.0], u_min=[-1.0], u_max=[1.0])
-    )
+    config = dict(horizon=2, dt=0.5, q_weights=[1.0], r_weights=[0.1],
+                  x_setpoint=[0.0], u_setpoint=[0.0], u_min=[-1.0], u_max=[1.0])
+    spec = MpcSpec(**config)
     sol = solve_mpc(spec, integrator_system(), np.array([1.0]))
     path = tmp_path / "trace.csv"
     write_cost_trace_csv(sol, path)
@@ -324,3 +323,33 @@ def test_spec_from_config_and_trace_csv(tmp_path):
     assert len(lines) == len(sol.cost_trace) + 1
     costs = [float(l.split(",")[1]) for l in lines[1:]]
     assert costs == sol.cost_trace
+
+
+def test_simulate_stages_matches_hand_rk4_loop():
+    """The shooting rollout takes kernels.rk4_step substeps; pinned
+    bit-for-bit to a hand-written RK4 loop on a batched reactor rollout."""
+    from procbench.control import _simulate_stages
+    from procbench.envs.reactor import ReactorEnv
+
+    env = ReactorEnv()
+    sys = env.system
+    rng = np.random.default_rng(11)
+    x0 = env.init_box.sample(rng)
+    u_seq = env.u_nominal + rng.uniform([-0.02, -5.0], [0.02, 5.0], (5, 6, 2))
+    dt, n_sub = 1.0, 10
+    got = _simulate_stages(sys, x0, u_seq, dt, n_sub)
+
+    h = dt / n_sub
+    x = np.broadcast_to(x0, (5, 3)).copy()
+    want = np.empty((5, 6, 3))
+    for k in range(6):
+        u = u_seq[:, k, :]
+        for _ in range(n_sub):
+            k1 = sys.rhs(0.0, x, u)
+            k2 = sys.rhs(0.0, x + 0.5 * h * k1, u)
+            k3 = sys.rhs(0.0, x + 0.5 * h * k2, u)
+            k4 = sys.rhs(0.0, x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        want[:, k, :] = x
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(got, want)

@@ -209,6 +209,14 @@ def test_corrupt_row_rejected(tmp_path):
     (tmp_path / "c" / "data.csv").write_text("\n".join(csv) + "\n")
     with pytest.raises(CorruptRowError):
         read_dataset(tmp_path / "c")
+    # flags other than 0/1 would not survive a write->read->write round trip
+    for flags in ("7,0", "0,2", "01,0"):
+        write_dataset(ds, tmp_path / "f")
+        csv = (tmp_path / "f" / "data.csv").read_text().splitlines()
+        csv[1] = csv[1].rsplit(",", 2)[0] + "," + flags
+        (tmp_path / "f" / "data.csv").write_text("\n".join(csv) + "\n")
+        with pytest.raises(CorruptRowError, match="line 2"):
+            read_dataset(tmp_path / "f")
 
 
 def test_no_reward_below_error_reward_in_recorded_env_data():

@@ -179,3 +179,24 @@ def test_caption_inequality_all_envs():
 def test_unknown_config_key_rejected():
     with pytest.raises(KeyError):
         make_env("reactor", {"not_a_key": 1})
+
+
+@pytest.mark.parametrize(
+    "name,config",
+    [
+        ("beer", {"n_substeps": 0}),
+        ("beer", {"n_substeps": -2}),
+        ("beer", {"step_hours": 0.0}),
+        ("reactor", {"n_substeps": 0}),
+        ("reactor", {"control_minutes": -1.0}),
+        ("pensim", {"n_substeps": 0}),
+        ("pensim", {"n_substeps": -2}),
+        ("pensim", {"step_hours": float("nan")}),
+        ("mab", {"step_hours": -1.0}),
+        ("mab", {"slice_minutes": 0.0}),
+        ("mab", {"slice_minutes": 120.0}),
+    ],
+)
+def test_step_settings_that_freeze_or_divide_by_zero_rejected(name, config):
+    with pytest.raises(ValueError):
+        make_env(name, config)

@@ -378,25 +378,6 @@ def test_integrate_fields_respects_floor():
     assert np.all(out >= 0.01)
 
 
-def test_named_elution_and_aex_wrappers():
-    rng = np.random.default_rng(9)
-    elu = capture_elution_params()
-    grid = SpatialGrid(10, elu.length, volume=elu.volume)
-    c = rng.uniform(0, 1, 10)
-    q = rng.uniform(0, 50, 10)
-    cs = np.full(10, 0.1)
-    from procbench.envs.mab.columns import aex_rhs, elution_rhs
-
-    got = elution_rhs(c, q, cs, 1.2, 0.0, 0.1, grid)
-    want = exchange_rhs(c, q, cs, 1.2, 0.0, 0.1, elu, grid)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    aexp = aex_params()
-    agrid = SpatialGrid(10, aexp.length, volume=aexp.volume)
-    dc, dq, dcs = aex_rhs(c, q, cs, 1.2, 0.0, 0.5, agrid)
-    assert np.max(np.abs(dq)) == 0.0
-
-
 def test_capture_outlet_curve_grid_insensitive():
     """Doubling the axial resolution beyond the default moves the
     breakthrough curve by less than 5% in L1."""

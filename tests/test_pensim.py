@@ -111,8 +111,7 @@ def test_fast_path_matches_kernel_integrator():
     state = env.state.copy()
     action = np.array([0.1, 0.01, 0.005, 0.005, 0.01, 0.03])
     fast = env._advance(state, action)
-    sys = env.system_for(action)
-    slow = integrate(sys, 0.0, state, action, env.step_hours,
+    slow = integrate(env.system, 0.0, state, action, env.step_hours,
                      env.step_hours / env.n_substeps)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
