@@ -378,6 +378,27 @@ def test_integrate_fields_respects_floor():
     assert np.all(out >= 0.01)
 
 
+def test_named_elution_and_aex_wrappers():
+    """exchange_rhs under the named elution and AEX parameter sets: at the
+    same state the elution set exchanges protein and the AEX set freezes
+    the adsorbed phase."""
+    rng = np.random.default_rng(9)
+    elu = capture_elution_params()
+    grid = SpatialGrid(10, elu.length, volume=elu.volume)
+    c = rng.uniform(0, 1, 10)
+    q = rng.uniform(0, 50, 10)
+    cs = np.full(10, 0.1)
+
+    _, dq_elu, dcs_elu = exchange_rhs(c, q, cs, 1.2, 0.0, 0.1, elu, grid)
+    assert np.max(np.abs(dq_elu)) > 0.0
+    assert np.all(np.isfinite(dq_elu))
+    aexp = aex_params()
+    agrid = SpatialGrid(10, aexp.length, volume=aexp.volume)
+    _, dq, dcs = exchange_rhs(c, q, cs, 1.2, 0.0, 0.5, aexp, agrid)
+    assert np.max(np.abs(dq)) == 0.0
+    assert np.all(np.isfinite(dcs))
+
+
 def test_capture_outlet_curve_grid_insensitive():
     """Doubling the axial resolution beyond the default moves the
     breakthrough curve by less than 5% in L1."""
