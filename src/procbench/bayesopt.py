@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .errors import IllConditionedKernelError
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -213,7 +213,7 @@ def expected_improvement(mean, variance, best):
     improve = mean - best
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sd > 0.0, improve / np.where(sd > 0.0, sd, 1.0), 0.0)
-    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / _SQRT2))
+    cdf = ndtr(z)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
     ei = np.where(sd > 0.0, improve * cdf + sd * pdf, np.maximum(improve, 0.0))
     return float(ei) if np.ndim(mean) == 0 else ei

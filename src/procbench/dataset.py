@@ -208,8 +208,13 @@ def stats(ds: Dataset) -> tuple[float, float, float]:
     return mean, std, float(success_rate)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# rows are formatted in chunks, so the per-row Python lists stay small
+_WRITE_CHUNK = 1024
+
+
+def _row_template(o_dim: int, a_dim: int) -> str:
+    """One CSV row: ids, step and flags as ``%d``, every float as ``%.17g``."""
+    return ",".join(["%d", "%d"] + ["%.17g"] * (o_dim + a_dim + 1) + ["%d", "%d"]) + "\n"
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
@@ -227,14 +232,21 @@ def write_dataset(ds: Dataset, path: str) -> None:
     )
     with open(os.path.join(path, "data.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(ds.n_rows):
-            parts = [str(int(ds.episode_ids[i])), str(int(ds.steps[i]))]
-            parts += [_fmt(v) for v in ds.observations[i]]
-            parts += [_fmt(v) for v in ds.actions[i]]
-            parts.append(_fmt(ds.rewards[i]))
-            parts.append(str(int(ds.terminals[i])))
-            parts.append(str(int(ds.timeouts[i])))
-            fh.write(",".join(parts) + "\n")
+        template = _row_template(ds.meta.o_dim, ds.meta.a_dim)
+        for start in range(0, ds.n_rows, _WRITE_CHUNK):
+            rows = slice(start, start + _WRITE_CHUNK)
+            fh.writelines(
+                template % (e, st, *o, *a, r, term, tout)
+                for e, st, o, a, r, term, tout in zip(
+                    ds.episode_ids[rows].tolist(),
+                    ds.steps[rows].tolist(),
+                    ds.observations[rows].tolist(),
+                    ds.actions[rows].tolist(),
+                    ds.rewards[rows].tolist(),
+                    ds.terminals[rows].tolist(),
+                    ds.timeouts[rows].tolist(),
+                )
+            )
 
 
 _META_FIELDS = {f.name: f for f in fields(DatasetMeta)}

@@ -69,9 +69,9 @@ def deep_merge(base: dict, override: dict | None) -> dict:
 
 def require_positive(key: str, value):
     """``value`` itself when it is positive (NaN is not); otherwise a
-    ``ValueError`` naming the config key.  Guards step lengths and substep
-    counts, where zero divides by zero and a negative value freezes the
-    plant."""
+    ``ValueError`` naming the config key.  Guards step lengths, substep
+    counts and tolerances, where zero divides by zero or never finishes a
+    step and a negative value freezes the plant."""
     if not value > 0:
         raise ValueError(f"config key {key!r} must be positive, got {value}")
     return value
@@ -137,10 +137,7 @@ class ProcessEnv:
 
     def _state_valid(self, state) -> bool:
         """Finite-and-in-box check; structured-state envs override this."""
-        state = np.asarray(state, dtype=float)
-        return bool(np.all(np.isfinite(state))) and self.state_box.contains(
-            state, tol=self._state_box_tol
-        )
+        return self.state_box.contains(state, tol=self._state_box_tol)
 
     # -- episode API -----------------------------------------------------
 

@@ -8,6 +8,12 @@ parameters live outside this package.  The shipped ``demo_monod`` closure is
 a self-consistent Monod-type demo set, fully exposed through the config and
 not to be mistaken for a calibrated industrial model.
 
+Each control interval is integrated by the Dormand-Prince 5(4) pair of
+``kernels`` with PI step-size control (relative tolerance ``rtol``,
+absolute ``1e-3 * rtol``), unrolled in plain floats over the seven states.
+A step whose error estimate turns non-finite or whose step size collapses
+fails through the env contract.
+
 Reward per step is the penicillin mass gained (kg of P*V) minus a quadratic
 action-smoothness penalty, so a batch's return telescopes to its net yield
 minus the roughness of its feeding profile.
@@ -20,13 +26,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DegenerateVolumeError
-from ..kernels import OdeSystem
+from ..errors import DegenerateVolumeError, NonFiniteStateError
+from ..kernels import DOPRI_A, DOPRI_B, DOPRI_E, OdeSystem, pi_step_factor
 from ..spaces import ContinuousSpace
 from .base import ProcessEnv, deep_merge, require_positive
 
 N_STATES = 7
 N_ACTIONS = 6
+
+# Step control of ``PenSimEnv._advance``: the absolute tolerance is this
+# multiple of ``rtol``, and a step size below ``H_MIN_FRACTION * step_hours``
+# fails the step.
+ATOL_PER_RTOL = 1e-3
+H_MIN_FRACTION = 1e-10
 
 STATE_NAMES = ("a0_growing", "a1_nongrowing", "a3_degenerated", "a4_autolysed",
                "product", "substrate", "volume")
@@ -137,8 +149,8 @@ def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s, literal
     """Demo kinetics and balances fused into one closure with local constants.
 
     Semantically identical to composing ``demo_monod_kinetics`` with
-    ``pensim_rhs`` (pinned by a test); exists because a full batch runs
-    34500 integrator substeps and the composed path pays for it.
+    ``pensim_rhs`` (pinned by a test); exists because a full batch takes
+    about 30000 rhs evaluations and the composed path pays for it.
     """
     ks, km = kin["ks"], kin["km"]
     k_b, k_e, k_diff = kin["k_branch"], kin["k_extend"], kin["k_diff"]
@@ -192,7 +204,7 @@ DEFAULT_CONFIG: dict = {
     "max_steps": 1150,
     "error_reward": -100.0,
     "step_hours": 1.0,
-    "n_substeps": 30,
+    "rtol": 1e-8,  # relative error tolerance of the Dormand-Prince step
     "action_low": [0.0] * N_ACTIONS,
     # five feeds capped lower than the discharge so sustainable profiles are
     # reachable; the vessel still overflows under sustained full feeding
@@ -222,7 +234,7 @@ class PenSimEnv(ProcessEnv):
         self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
         self._kinetics = PENSIM_KINETICS[cfg["kinetics"]]
         self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
-        self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
+        self.rtol = require_positive("rtol", float(cfg["rtol"]))
         self.feeds = (float(cfg["feed_sugar"]), float(cfg["feed_oil"]))
         self.evaporation_rate = float(cfg["evaporation_rate"])
         self.y_sx = float(cfg["y_sx"])
@@ -300,38 +312,147 @@ class PenSimEnv(ProcessEnv):
         return state
 
     def _advance(self, state, action):
-        # Plain-float unrolled RK4: a 1150-step batch runs 34500 substeps,
-        # so this loop avoids numpy's small-array overhead.  Equivalence
-        # with the kernel integrator is pinned by a test.
+        """Integrate one control interval by Dormand-Prince 5(4).
+
+        The step size follows the PI controller of ``kernels.pi_step_factor``
+        on the RMS error over ``atol + rtol * |x|`` (``atol`` is
+        ``ATOL_PER_RTOL * rtol``, in state units).  The seventh stage of an
+        accepted step is the next step's first (first same as last).  The
+        loop runs on plain floats, unrolled over the seven states, because
+        numpy's small-array overhead would dominate it.
+
+        A pure function of (state, action): every call starts from
+        ``h = step_hours / 4`` and carries nothing to the next call.  A
+        non-finite error estimate, or ``h`` below ``H_MIN_FRACTION *
+        step_hours``, raises ``NonFiniteStateError``, so the step fails
+        through the env contract instead of looping.
+        """
         x = tuple(float(v) for v in state)
         a = tuple(float(v) for v in action)
-        h = self.step_hours / self.n_substeps
-        sixth = h / 6.0
-        half = h / 2.0
         deriv = self._deriv
-        for _ in range(self.n_substeps):
+        (
+            (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+            (a61, a62, a63, a64, a65), _,
+        ) = DOPRI_A
+        b1, _, b3, b4, b5, b6, _ = DOPRI_B
+        e1, _, e3, e4, e5, e6, e7 = DOPRI_E
+        rtol = self.rtol
+        atol = ATOL_PER_RTOL * rtol
+        t_end = self.step_hours
+        h_min = H_MIN_FRACTION * t_end
+        h = 0.25 * t_end
+        t = 0.0
+        err_prev = 0.0
+        rejected = False
+        # stage derivatives k1..k7 are p, q, r, s, u, w, z
+        p0, p1, p2, p3, p4, p5, p6 = deriv(x, a)
+        while True:
             x0, x1, x2, x3, x4, x5, x6 = x
-            b0, b1, b2, b3, b4, b5, b6 = k1 = deriv(x, a)
-            y = (x0 + half * b0, x1 + half * b1, x2 + half * b2,
-                 x3 + half * b3, x4 + half * b4, x5 + half * b5, x6 + half * b6)
-            c0, c1, c2, c3, c4, c5, c6 = k2 = deriv(y, a)
-            y = (x0 + half * c0, x1 + half * c1, x2 + half * c2,
-                 x3 + half * c3, x4 + half * c4, x5 + half * c5, x6 + half * c6)
-            d0, d1, d2, d3, d4, d5, d6 = k3 = deriv(y, a)
-            y = (x0 + h * d0, x1 + h * d1, x2 + h * d2,
-                 x3 + h * d3, x4 + h * d4, x5 + h * d5, x6 + h * d6)
-            e0, e1, e2, e3, e4, e5, e6 = deriv(y, a)
-            x = (
-                x0 + sixth * (b0 + 2.0 * c0 + 2.0 * d0 + e0),
-                x1 + sixth * (b1 + 2.0 * c1 + 2.0 * d1 + e1),
-                x2 + sixth * (b2 + 2.0 * c2 + 2.0 * d2 + e2),
-                x3 + sixth * (b3 + 2.0 * c3 + 2.0 * d3 + e3),
-                x4 + sixth * (b4 + 2.0 * c4 + 2.0 * d4 + e4),
-                x5 + sixth * (b5 + 2.0 * c5 + 2.0 * d5 + e5),
-                x6 + sixth * (b6 + 2.0 * c6 + 2.0 * d6 + e6),
+            # stretch a step by up to 1% rather than leave a sliver to t_end
+            last = t + 1.01 * h >= t_end
+            if last:
+                h = t_end - t
+            c1 = h * a21
+            q0, q1, q2, q3, q4, q5, q6 = deriv((
+                x0 + c1 * p0,
+                x1 + c1 * p1,
+                x2 + c1 * p2,
+                x3 + c1 * p3,
+                x4 + c1 * p4,
+                x5 + c1 * p5,
+                x6 + c1 * p6,
+            ), a)
+            c1, c2 = h * a31, h * a32
+            r0, r1, r2, r3, r4, r5, r6 = deriv((
+                x0 + c1 * p0 + c2 * q0,
+                x1 + c1 * p1 + c2 * q1,
+                x2 + c1 * p2 + c2 * q2,
+                x3 + c1 * p3 + c2 * q3,
+                x4 + c1 * p4 + c2 * q4,
+                x5 + c1 * p5 + c2 * q5,
+                x6 + c1 * p6 + c2 * q6,
+            ), a)
+            c1, c2, c3 = h * a41, h * a42, h * a43
+            s0, s1, s2, s3, s4, s5, s6 = deriv((
+                x0 + c1 * p0 + c2 * q0 + c3 * r0,
+                x1 + c1 * p1 + c2 * q1 + c3 * r1,
+                x2 + c1 * p2 + c2 * q2 + c3 * r2,
+                x3 + c1 * p3 + c2 * q3 + c3 * r3,
+                x4 + c1 * p4 + c2 * q4 + c3 * r4,
+                x5 + c1 * p5 + c2 * q5 + c3 * r5,
+                x6 + c1 * p6 + c2 * q6 + c3 * r6,
+            ), a)
+            c1, c2, c3, c4 = h * a51, h * a52, h * a53, h * a54
+            u0, u1, u2, u3, u4, u5, u6 = deriv((
+                x0 + c1 * p0 + c2 * q0 + c3 * r0 + c4 * s0,
+                x1 + c1 * p1 + c2 * q1 + c3 * r1 + c4 * s1,
+                x2 + c1 * p2 + c2 * q2 + c3 * r2 + c4 * s2,
+                x3 + c1 * p3 + c2 * q3 + c3 * r3 + c4 * s3,
+                x4 + c1 * p4 + c2 * q4 + c3 * r4 + c4 * s4,
+                x5 + c1 * p5 + c2 * q5 + c3 * r5 + c4 * s5,
+                x6 + c1 * p6 + c2 * q6 + c3 * r6 + c4 * s6,
+            ), a)
+            c1, c2, c3, c4, c5 = h * a61, h * a62, h * a63, h * a64, h * a65
+            w0, w1, w2, w3, w4, w5, w6 = deriv((
+                x0 + c1 * p0 + c2 * q0 + c3 * r0 + c4 * s0 + c5 * u0,
+                x1 + c1 * p1 + c2 * q1 + c3 * r1 + c4 * s1 + c5 * u1,
+                x2 + c1 * p2 + c2 * q2 + c3 * r2 + c4 * s2 + c5 * u2,
+                x3 + c1 * p3 + c2 * q3 + c3 * r3 + c4 * s3 + c5 * u3,
+                x4 + c1 * p4 + c2 * q4 + c3 * r4 + c4 * s4 + c5 * u4,
+                x5 + c1 * p5 + c2 * q5 + c3 * r5 + c4 * s5 + c5 * u5,
+                x6 + c1 * p6 + c2 * q6 + c3 * r6 + c4 * s6 + c5 * u6,
+            ), a)
+            c1, c3, c4, c5, c6 = h * b1, h * b3, h * b4, h * b5, h * b6
+            y = (
+                x0 + c1 * p0 + c3 * r0 + c4 * s0 + c5 * u0 + c6 * w0,
+                x1 + c1 * p1 + c3 * r1 + c4 * s1 + c5 * u1 + c6 * w1,
+                x2 + c1 * p2 + c3 * r2 + c4 * s2 + c5 * u2 + c6 * w2,
+                x3 + c1 * p3 + c3 * r3 + c4 * s3 + c5 * u3 + c6 * w3,
+                x4 + c1 * p4 + c3 * r4 + c4 * s4 + c5 * u4 + c6 * w4,
+                x5 + c1 * p5 + c3 * r5 + c4 * s5 + c5 * u5 + c6 * w5,
+                x6 + c1 * p6 + c3 * r6 + c4 * s6 + c5 * u6 + c6 * w6,
             )
-        # non-finite values, if any, propagate to the state validity check
-        return np.asarray(x, dtype=float)
+            z0, z1, z2, z3, z4, z5, z6 = deriv(y, a)
+            y0, y1, y2, y3, y4, y5, y6 = y
+            c1, c3, c4, c5, c6, c7 = h * e1, h * e3, h * e4, h * e5, h * e6, h * e7
+            d0 = ((c1 * p0 + c3 * r0 + c4 * s0 + c5 * u0 + c6 * w0 + c7 * z0)
+                  / (atol + rtol * max(abs(x0), abs(y0))))
+            d1 = ((c1 * p1 + c3 * r1 + c4 * s1 + c5 * u1 + c6 * w1 + c7 * z1)
+                  / (atol + rtol * max(abs(x1), abs(y1))))
+            d2 = ((c1 * p2 + c3 * r2 + c4 * s2 + c5 * u2 + c6 * w2 + c7 * z2)
+                  / (atol + rtol * max(abs(x2), abs(y2))))
+            d3 = ((c1 * p3 + c3 * r3 + c4 * s3 + c5 * u3 + c6 * w3 + c7 * z3)
+                  / (atol + rtol * max(abs(x3), abs(y3))))
+            d4 = ((c1 * p4 + c3 * r4 + c4 * s4 + c5 * u4 + c6 * w4 + c7 * z4)
+                  / (atol + rtol * max(abs(x4), abs(y4))))
+            d5 = ((c1 * p5 + c3 * r5 + c4 * s5 + c5 * u5 + c6 * w5 + c7 * z5)
+                  / (atol + rtol * max(abs(x5), abs(y5))))
+            d6 = ((c1 * p6 + c3 * r6 + c4 * s6 + c5 * u6 + c6 * w6 + c7 * z6)
+                  / (atol + rtol * max(abs(x6), abs(y6))))
+            err = math.sqrt((
+                d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5 + d6 * d6
+            ) / N_STATES)
+            if not math.isfinite(err):
+                raise NonFiniteStateError(f"pensim error estimate is {err} at t={t:.6g} h")
+            if err <= 1.0:
+                t += h
+                x = y
+                p0, p1, p2, p3, p4, p5, p6 = z0, z1, z2, z3, z4, z5, z6
+                if last:
+                    return np.asarray(x, dtype=float)
+                factor = pi_step_factor(err, err_prev)
+                if rejected and factor > 1.0:
+                    factor = 1.0  # no growth right after a rejection
+                err_prev = err
+                rejected = False
+            else:
+                factor = pi_step_factor(err, err_prev)
+                rejected = True
+            h *= factor
+            if h < h_min:
+                raise NonFiniteStateError(
+                    f"pensim step size {h:.3e} h fell below {h_min:.3e} h"
+                )
 
     def _observe(self, state):
         state = np.asarray(state, dtype=float)

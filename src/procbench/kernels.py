@@ -1,8 +1,14 @@
 """Shared numerical kernels.
 
-Fixed-step explicit integration, a damped-Newton steady-state solver with
+Fixed-step classical RK4 integration, the Dormand-Prince 5(4) embedded pair
+with its PI step-size controller, a damped-Newton steady-state solver with
 finite-difference Jacobians, and conservative 1-D stencils used by the
 method-of-lines transport models.
+
+The reactor, beer and the shooting rollouts step by fixed RK4
+(``rk4_step``/``integrate``).  Pensim steps by the embedded pair: its
+unrolled plain-float loop reads the tableau and ``pi_step_factor`` below, so
+they are defined once here.
 
 Everything in this module is a pure function of its arguments, so concurrent
 use from any number of workers is safe.
@@ -145,6 +151,53 @@ def integrate(
     if rem > 1e-12 * max(1.0, duration):
         x = rk4_step(sys, t, x, u, rem, check=check)
     return x
+
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+# Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-5).  Row i of DOPRI_A
+# holds the coefficients of stages 1..i for stage i + 1; DOPRI_C the nodes
+# of stages 2..7.  The 7th stage is evaluated at the 5th-order solution, so
+# it is the next step's first stage (first same as last).  DOPRI_E is the
+# 5th-order minus the embedded 4th-order weights: ``h * sum(E_i k_i)`` is
+# the local error estimate.
+DOPRI_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DOPRI_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DOPRI_B = DOPRI_A[-1] + (0.0,)
+DOPRI_E = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
+
+# PI step-size control for a 5(4) pair (Hairer & Wanner's DOPRI5 values).
+PI_ALPHA = 0.17
+PI_BETA = 0.04
+PI_SAFETY = 0.9
+PI_FACTOR_MIN = 0.2
+PI_FACTOR_MAX = 10.0
+# floor on the previous accepted error, so one near-exact step does not
+# hold the next factor down through the err_prev ** beta term
+PI_ERR_FLOOR = 1e-4
+
+
+def pi_step_factor(err: float, err_prev: float) -> float:
+    """Step-size ratio ``h_new / h`` after a step with scaled error ``err``.
+
+    ``err`` is the RMS of the local error over ``atol + rtol * |x|``; a step
+    is accepted when ``err <= 1``.  ``err_prev`` is the error of the last
+    accepted step, 0.0 before the first; it is floored at
+    ``PI_ERR_FLOOR``.  The ratio is clamped to
+    ``[PI_FACTOR_MIN, PI_FACTOR_MAX]``.
+    """
+    if err == 0.0:
+        return PI_FACTOR_MAX
+    fac = PI_SAFETY * err ** -PI_ALPHA * max(err_prev, PI_ERR_FLOOR) ** PI_BETA
+    return min(PI_FACTOR_MAX, max(PI_FACTOR_MIN, fac))
 
 
 def fd_jacobian(

@@ -23,16 +23,25 @@ class ContinuousSpace:
             raise ValueError("low must not exceed high componentwise")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
+        # plain-float copies for ``contains``, which runs twice per env step
+        object.__setattr__(self, "_bounds", tuple(zip(low.tolist(), high.tolist())))
 
     @property
     def dim(self) -> int:
         return self.low.size
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
+        """True iff ``x`` has the box's shape, is finite, and lies within
+        ``tol`` of the box.  NaN and +-inf are rejected even against
+        infinite bounds."""
         x = np.asarray(x, dtype=float)
-        if x.shape != self.low.shape or not np.all(np.isfinite(x)):
+        if x.shape != self.low.shape:
             return False
-        return bool(np.all(x >= self.low - tol) and np.all(x <= self.high + tol))
+        for v, (lo, hi) in zip(x.tolist(), self._bounds):
+            # v - v is 0.0 for finite v and NaN for NaN and +-inf
+            if not (lo - tol <= v <= hi + tol and v - v == 0.0):
+                return False
+        return True
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high)

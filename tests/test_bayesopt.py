@@ -1,5 +1,7 @@
 """GP posterior, expected improvement and proposal-loop tests."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -61,6 +63,18 @@ def test_ei_monotone_in_sd_at_mean_equal_best():
     sds = np.linspace(0.1, 3.0, 15)
     ei = expected_improvement(np.zeros(15), sds**2, 0.0)
     assert np.all(np.diff(ei) > 0.0)
+
+
+def test_ei_matches_erf_form_over_wide_z_range():
+    # the former closed form, with the normal cdf through math.erf
+    z = np.linspace(-40.0, 40.0, 16001)
+    cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in z]))
+    pdf = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    want = z * cdf + pdf  # mean z, unit sd, best 0
+    got = expected_improvement(z, np.ones_like(z), 0.0)
+    # the cdfs agree to 1e-15; EI multiplies the cdf by the improvement z
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+    assert np.all(got >= 0.0)
 
 
 def test_ei_rejects_negative_variance():

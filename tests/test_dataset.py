@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import procbench.dataset as dataset_module
 from procbench.dataset import (
     Dataset,
     DatasetMeta,
     DatasetRecorder,
+    _row_template,
     episode_slices,
     read_dataset,
     stats,
@@ -107,6 +109,38 @@ def test_roundtrip_preserves_awkward_floats(tmp_path):
     back = read_dataset(tmp_path / "x")
     assert np.array_equal(back.rewards, ds.rewards)  # bit-exact round trip
     assert np.array_equal(back.observations, ds.observations)
+
+
+def test_row_template_matches_per_cell_format():
+    # the writer's former per-cell formatting of floats
+    def _fmt(x):
+        return format(float(x), ".17g")
+
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]
+    row = (7, 3, *floats, 0.1, True, False)
+    want = ",".join(
+        ["7", "3"] + [_fmt(v) for v in floats + [0.1]] + ["1", "0"]
+    ) + "\n"
+    assert _row_template(o_dim=4, a_dim=2) % row == want
+    assert want.startswith("7,3,nan,inf,-inf,-0,4.9406564584124654e-324,1.0000000000000001e+300,")
+
+
+def test_write_matches_per_cell_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "_WRITE_CHUNK", 5)  # 12 rows: 3 chunks
+    ds = small_dataset()
+    ds.observations[0] = [float("nan"), -0.0, 5e-324]
+    ds.actions[1] = [float("inf"), -float("inf")]
+    ds.rewards[2] = 1e300
+    write_dataset(ds, str(tmp_path / "d"))
+    lines = (tmp_path / "d" / "data.csv").read_text().splitlines()[1:]
+    assert len(lines) == ds.n_rows
+    for i, line in enumerate(lines):
+        cells = [str(int(ds.episode_ids[i])), str(int(ds.steps[i]))]
+        cells += [format(float(v), ".17g") for v in ds.observations[i]]
+        cells += [format(float(v), ".17g") for v in ds.actions[i]]
+        cells += [format(float(ds.rewards[i]), ".17g")]
+        cells += [str(int(ds.terminals[i])), str(int(ds.timeouts[i]))]
+        assert line == ",".join(cells)
 
 
 def test_empty_dataset_valid_but_stats_raise(tmp_path):

@@ -189,8 +189,8 @@ def test_unknown_config_key_rejected():
         ("beer", {"step_hours": 0.0}),
         ("reactor", {"n_substeps": 0}),
         ("reactor", {"control_minutes": -1.0}),
-        ("pensim", {"n_substeps": 0}),
-        ("pensim", {"n_substeps": -2}),
+        ("pensim", {"rtol": 0.0}),
+        ("pensim", {"rtol": -1e-8}),
         ("pensim", {"step_hours": float("nan")}),
         ("mab", {"step_hours": -1.0}),
         ("mab", {"slice_minutes": 0.0}),

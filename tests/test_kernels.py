@@ -5,7 +5,15 @@ import pytest
 
 from procbench.errors import NonFiniteStateError
 from procbench.kernels import (
+    DOPRI_A,
+    DOPRI_B,
+    DOPRI_C,
+    DOPRI_E,
+    PI_ERR_FLOOR,
+    PI_FACTOR_MAX,
+    PI_FACTOR_MIN,
     OdeSystem,
+    pi_step_factor,
     SpatialGrid,
     central_dispersion,
     integrate,
@@ -74,6 +82,40 @@ def test_rk4_order_at_least_3_9():
     order2 = np.log2(errors[1] / errors[2])
     assert order1 >= 3.9 and order2 >= 3.9
     assert errors[0] / errors[1] >= 8.0  # halving h cuts global error >= 8x
+
+
+def test_dopri_tableau_order_conditions():
+    a = np.zeros((7, 7))
+    for i, row in enumerate(DOPRI_A, start=1):
+        a[i, : len(row)] = row
+    c = np.array((0.0,) + DOPRI_C)
+    b = np.array(DOPRI_B)
+    b_hat = b - np.array(DOPRI_E)  # embedded 4th-order weights
+    assert np.allclose(a.sum(axis=1), c, atol=1e-15)
+    assert np.array_equal(a[6], b)  # first same as last
+    # bushy-tree conditions sum(b c^k) = 1/(k+1), to order 5 and 4
+    for k in range(5):
+        assert b @ c**k == pytest.approx(1.0 / (k + 1), abs=1e-14)
+    for k in range(4):
+        assert b_hat @ c**k == pytest.approx(1.0 / (k + 1), abs=1e-14)
+    assert b @ (a @ c) == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert b @ (a @ c**3) == pytest.approx(1.0 / 20.0, abs=1e-14)
+    assert b @ (a @ (a @ (a @ c))) == pytest.approx(1.0 / 120.0, abs=1e-14)
+    assert b_hat @ c**4 != pytest.approx(0.2, abs=1e-6)  # truly embedded
+
+
+def test_pi_step_factor_clamps_and_orders():
+    assert pi_step_factor(0.0, 0.0) == PI_FACTOR_MAX
+    assert pi_step_factor(1e-30, 1.0) == PI_FACTOR_MAX
+    assert pi_step_factor(1e30, 1e-4) == PI_FACTOR_MIN
+    assert pi_step_factor(1.0001, 1.0) < 1.0  # a rejected step shrinks
+    errs = [1e-6, 1e-3, 0.1, 1.0, 2.0]
+    facs = [pi_step_factor(e, 0.5) for e in errs]
+    assert facs == sorted(facs, reverse=True)
+    # the PI term: a smaller previous error damps the next growth, down
+    # to the floor on the previous error
+    assert pi_step_factor(0.1, 1e-3) < pi_step_factor(0.1, 0.5)
+    assert pi_step_factor(0.1, 0.0) == pi_step_factor(0.1, PI_ERR_FLOOR)
 
 
 def test_steady_state_linear_decay():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from procbench.envs.pensim import (
     N_STATES,
@@ -10,7 +11,7 @@ from procbench.envs.pensim import (
     pensim_reward,
     pensim_rhs,
 )
-from procbench.kernels import integrate
+from procbench.errors import DegenerateVolumeError
 
 
 def zero_rates(**overrides):
@@ -105,15 +106,64 @@ def test_reward_examples():
     assert pensim_reward(1.0, 1.0, jump, zero, 0.01) == pytest.approx(-1.0)
 
 
-def test_fast_path_matches_kernel_integrator():
+def test_dopri_step_matches_dop853_reference():
+    """Each control hour of a 6-segment feed profile (the BO controller's
+    shape) against scipy's DOP853 at rtol 1e-12 on the composed rhs."""
     env = PenSimEnv()
     env.reset(seed=2)
-    state = env.state.copy()
-    action = np.array([0.1, 0.01, 0.005, 0.005, 0.01, 0.03])
-    fast = env._advance(state, action)
-    slow = integrate(env.system, 0.0, state, action, env.step_hours,
-                     env.step_hours / env.n_substeps)
-    assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
+    rng = np.random.default_rng(1)
+    low, high = env.action_space.low, env.action_space.high
+    segments = rng.uniform(low, low + 0.5 * (high - low), size=(6, 6))
+    x = env.state.copy()
+    worst = 0.0
+    for k in range(env.max_steps):
+        action = segments[k * 6 // env.max_steps]
+        got = env._advance(x, action)
+        ref = solve_ivp(
+            lambda t, z: env.rhs_tuple(tuple(z), tuple(action)),
+            (0.0, env.step_hours), x, method="DOP853", rtol=1e-12, atol=1e-14,
+        ).y[:, -1]
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-3))))
+        assert env._state_valid(got)
+        x = got
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("fault", ["nan", "degenerate_volume", "stiff"])
+def test_failing_rhs_fails_the_step_after_bounded_work(fault):
+    env = PenSimEnv()
+    env.reset(seed=0)
+    calls = 0
+
+    def broken(x, a):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:  # a hang shows up as a test failure
+            raise AssertionError("step kept evaluating the rhs")
+        if fault == "nan":
+            return (float("nan"),) * N_STATES
+        if fault == "degenerate_volume":
+            raise DegenerateVolumeError("volume below floor")
+        # finite but so stiff that the step size collapses below its floor
+        return tuple(-1e13 * v for v in x)
+
+    env._deriv = broken
+    obs_before = env._observe(env.state)
+    r = env.step(np.array([0.1, 0.01, 0.005, 0.005, 0.01, 0.03]))
+    assert r.failure and r.terminal and not r.timeout
+    assert r.reward == env.error_reward
+    assert np.array_equal(r.observation, obs_before)
+    assert calls <= {"nan": 7, "degenerate_volume": 1, "stiff": 200}[fault]
+
+
+def test_advance_is_a_pure_function_of_state_and_action():
+    env = PenSimEnv()
+    env.reset(seed=1)
+    x = env.state.copy()
+    action = np.array([0.15, 0.02, 0.0, 0.01, 0.0, 0.05])
+    first = env._advance(x, action)
+    env._advance(first, action[::-1].copy())
+    assert np.array_equal(env._advance(x, action), first)
 
 
 def test_biomass_nonnegative_over_full_episode():
