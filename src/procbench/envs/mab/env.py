@@ -19,8 +19,12 @@ slice each unit sees its upstream neighbour's outlet frozen.  The loading
 capture column advances by exponential time differencing
 (``LoadingStepper``), which applies its stiff pore diffusion exactly and
 picks its own substep from the slow explicit terms, about 12 substeps per
-minute; the bioreactor, the eluting column, the loops and the polishing
-columns advance with a stability-limited positive-preserving RK4 step
+minute.  The holdup loops and the flow-through anion-exchange column are
+advanced exactly (``TransportStepper``), the eluting capture column and the
+cation-exchange column by exponential time differencing with exact
+transport (``ExchangeStepper``); their operators are built once per control
+step, since the pump velocities are fixed within it.  The bioreactor
+advances with a stability-limited positive-preserving RK4 step
 (``integrate_fields``), which is most of the cost of a step.
 Unit-level mass audits are exact (see the column kernels); the splitting
 only affects the coupling resolution.
@@ -37,15 +41,14 @@ from ...spaces import ContinuousSpace
 from ..base import ProcessEnv, deep_merge, require_positive
 from .columns import (
     CaptureParams,
-    ExchangeParams,
+    ExchangeStepper,
     LoadingStepper,
     LoopParams,
+    TransportStepper,
     aex_params,
     capture_elution_params,
     cex_params,
-    exchange_rhs,
     integrate_fields,
-    loop_rhs,
 )
 from .schedule import TwinColumnSchedule, twin_column_tick
 from .upstream import (
@@ -178,6 +181,17 @@ class MabEnv(ProcessEnv):
         self.reward_scale = float(cfg["reward_scale"])
         self.literal_gln_recycle = bool(cfg["literal_gln_recycle"])
         self.literal_adsorption_sign = bool(cfg["literal_adsorption_sign"])
+        self._elu_stepper = ExchangeStepper(
+            self.elu, self.cap_grid, self.literal_adsorption_sign
+        )
+        self._cex_stepper = ExchangeStepper(
+            self.cex, self.pol_grid, self.literal_adsorption_sign
+        )
+        self._aex_stepper = ExchangeStepper(
+            self.aex, self.pol_grid, self.literal_adsorption_sign
+        )
+        self._vi_stepper = TransportStepper(self.loop_grid, self.loop.d_ax_factor)
+        self._hold_stepper = TransportStepper(self.loop_grid, self.loop.d_ax_factor)
         self.log_breakthrough = bool(cfg["log_breakthrough"])
         self.breakthrough_log: list[tuple] = []
         self.initial_upstream = np.asarray(cfg["initial_upstream"], float)
@@ -276,19 +290,6 @@ class MabEnv(ProcessEnv):
         ) + p.alpha1 * xv / p.alpha2 / p.k_gln
         return 2.0 / max(lam, 2.0)
 
-    def _exchange_h0(self, p: ExchangeParams, grid: SpatialGrid, v: float,
-                     cs_min: float, c_scale: float) -> float:
-        lam = 2.0 * p.d_ax_factor * v / grid.dz**2 + v / (p.eps_total * grid.dz)
-        if p.k_kin > 0.0:
-            henry = p.h_0 * max(cs_min, 1e-12) ** (-p.beta)
-            lam += p.k_kin * (1.0 + henry * (1.0 + c_scale / p.q_max))
-        return 2.0 / max(lam, 1e-9)
-
-    def _loop_h0(self, v: float) -> float:
-        grid = self.loop_grid
-        lam = 2.0 * self.loop.d_ax_factor * v / grid.dz**2 + v / grid.dz
-        return 2.0 / max(lam, 1e-9)
-
     def _advance(self, state: MabState, action) -> MabState:
         action = np.asarray(action, float)
         u7 = action[:N_INPUTS]
@@ -335,74 +336,30 @@ class MabEnv(ProcessEnv):
             # purification train, one unit at a time with frozen inlets
             purifier = s.columns[1 - s.schedule.loading_column]
             if v_elu > 0.0:
-                def elu_deriv(fields):
-                    return list(
-                        exchange_rhs(
-                            fields[0], fields[1], fields[2], v_elu,
-                            0.0, self.cs_elu_in, self.elu, self.cap_grid,
-                            self.literal_adsorption_sign,
-                        )
-                    )
-                cs_min = float(purifier.cs_elu.min())
-                out = integrate_fields(
-                    elu_deriv,
-                    [purifier.c_elu, purifier.q_elu, purifier.cs_elu],
-                    dt,
-                    self._exchange_h0(self.elu, self.cap_grid, v_elu, cs_min, 10.0),
-                    floors=[0.0, 0.0, self.cs_floor],
+                purifier.c_elu, purifier.q_elu, cs = self._elu_stepper.advance(
+                    purifier.c_elu, purifier.q_elu, purifier.cs_elu, v_elu,
+                    0.0, self.cs_elu_in, dt,
                 )
-                purifier.c_elu, purifier.q_elu, purifier.cs_elu = out
-
-                vi_inlet = float(purifier.c_elu[-1])
-                s.loop_vi = integrate_fields(
-                    lambda f: [loop_rhs(f[0], v_loop_vi, vi_inlet, self.loop, self.loop_grid)],
-                    [s.loop_vi], dt, self._loop_h0(v_loop_vi),
-                )[0]
+                purifier.cs_elu = np.maximum(cs, self.cs_floor)
+                s.loop_vi = self._vi_stepper.advance(
+                    s.loop_vi, v_loop_vi, float(purifier.c_elu[-1]), dt
+                )
 
             if v_pol > 0.0:
                 # flow-matching joint: mass flux from the VI loop is preserved
-                cex_inlet = float(s.loop_vi[-1]) * (q_elu / q_pol) if q_pol > 0 else 0.0
-
-                def cex_deriv(fields):
-                    return list(
-                        exchange_rhs(
-                            fields[0], fields[1], fields[2], v_pol,
-                            cex_inlet, self.cs_cex_in, self.cex, self.pol_grid,
-                            self.literal_adsorption_sign,
-                        )
-                    )
-                cs_min = float(s.cex_cs.min())
-                out = integrate_fields(
-                    cex_deriv,
-                    [s.cex_c, s.cex_q, s.cex_cs], dt,
-                    self._exchange_h0(self.cex, self.pol_grid, v_pol, cs_min, 5.0),
-                    floors=[0.0, 0.0, self.cs_floor],
+                cex_inlet = float(s.loop_vi[-1]) * (q_elu / q_pol)
+                s.cex_c, s.cex_q, cs = self._cex_stepper.advance(
+                    s.cex_c, s.cex_q, s.cex_cs, v_pol, cex_inlet, self.cs_cex_in, dt
                 )
-                s.cex_c, s.cex_q, s.cex_cs = out
-
-                hold_inlet = float(s.cex_c[-1])
-                s.loop_hold = integrate_fields(
-                    lambda f: [loop_rhs(f[0], v_loop_hold, hold_inlet, self.loop, self.loop_grid)],
-                    [s.loop_hold], dt, self._loop_h0(v_loop_hold),
-                )[0]
-
-                aex_inlet = float(s.loop_hold[-1])
-
-                def aex_deriv(fields):
-                    return list(
-                        exchange_rhs(
-                            fields[0], fields[1], fields[2], v_pol,
-                            aex_inlet, self.cs_aex_in, self.aex, self.pol_grid,
-                            self.literal_adsorption_sign,
-                        )
-                    )
-                out = integrate_fields(
-                    aex_deriv,
-                    [s.aex_c, s.aex_q, s.aex_cs], dt,
-                    self._exchange_h0(self.aex, self.pol_grid, v_pol, 1.0, 5.0),
-                    floors=[0.0, 0.0, self.cs_floor],
+                s.cex_cs = np.maximum(cs, self.cs_floor)
+                s.loop_hold = self._hold_stepper.advance(
+                    s.loop_hold, v_loop_hold, float(s.cex_c[-1]), dt
                 )
-                s.aex_c, s.aex_q, s.aex_cs = out
+                s.aex_c, s.aex_q, cs = self._aex_stepper.advance(
+                    s.aex_c, s.aex_q, s.aex_cs, v_pol,
+                    float(s.loop_hold[-1]), self.cs_aex_in, dt,
+                )
+                s.aex_cs = np.maximum(cs, self.cs_floor)
                 s.product_mg += q_pol * float(s.aex_c[-1]) * dt
 
             s.schedule, swaps = twin_column_tick(s.schedule, dt)

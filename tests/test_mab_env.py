@@ -1,12 +1,14 @@
 """Integrated antibody environment tests (coarse grids for speed)."""
 
+import contextlib
 import copy
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
 
-from procbench.envs.mab.env import MabEnv
+from procbench.envs.mab.env import IDX_V_ELU, IDX_V_POL, MabEnv
 
 COARSE = {
     "grids": {
@@ -185,3 +187,47 @@ def test_step_does_not_mutate_previous_state():
         assert not r.failure
         assert env.state is not prev
         _assert_same(snapshot, prev)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed, v", [(1, 1.5), (2, 2.0), (3, 3.0)])
+def test_default_grids_survive_the_first_column_swap(seed, v):
+    """Six control hours on the default grids at a fixed balanced action
+    cross the 240-minute swap, after which the first eluate runs through
+    the holdup loops, whose dispersion (D_ax = 290 v) is the stiffest
+    transport of the plant.  An explicit march past its stability limit
+    there grew without bound in hour 5 and slowed every later slice."""
+    env = MabEnv({})
+    env.reset(seed=seed)
+    action = ACTION.copy()
+    action[IDX_V_ELU] = action[IDX_V_POL] = v
+    fed = 0.0    # mg of antibody carried into the capture step
+    titre = 0.0  # highest harvest concentration, mg/mL
+    with _deadline(120.0):
+        for _ in range(6):
+            before = env.state.upstream[16]
+            r = env.step(action)
+            assert not r.failure
+            after = env.state.upstream[16]
+            fed += action[3] * 60.0 * max(before, after)  # L/min * min * mg/L
+            titre = max(titre, before * 1e-3, after * 1e-3)
+    assert np.all(np.isfinite(r.observation))  # every field of every unit
+    s = env.state
+    assert s.schedule.loading_column == 1  # the swap happened
+    assert 0.0 < s.product_mg <= fed
+    for field in (s.loop_vi, s.cex_c, s.loop_hold, s.aex_c):
+        assert field.max() <= titre
