@@ -291,16 +291,12 @@ def run_bo(
     seed: int = 0,
     fit_options: FitOptions | None = None,
     hyperopt_every=None,
-    callback=None,
-    log_path=None,
 ) -> BoState:
     """Random initialization followed by EI proposals.
 
     ``hyperopt_every(n)`` decides whether hyperparameters are re-optimized
     at the fit for observation count n (default: always).  The GP posterior
-    itself is rebuilt once per new observation either way.  ``callback``
-    receives (iteration, point, score, best_score) after every evaluation;
-    ``log_path`` additionally writes a CSV run log of the same records.
+    itself is rebuilt once per new observation either way.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
@@ -309,40 +305,23 @@ def run_bo(
     fit_options = fit_options or FitOptions()
     if hyperopt_every is None:
         hyperopt_every = lambda n: True
-    log = open(log_path, "w", encoding="utf-8", newline="\n") if log_path else None
-    if log is not None:
-        cols = ",".join(f"x_{i}" for i in range(lo.size))
-        log.write(f"iteration,{cols},score,best_score\n")
 
     def note(point, score):
         state.add(point, score)
-        if log is not None:
-            coords = ",".join(format(float(v), ".17g") for v in point)
-            log.write(
-                f"{state.iteration},{coords},"
-                f"{format(float(score), '.17g')},"
-                f"{format(state.best_score, '.17g')}\n"
-            )
-        if callback is not None:
-            callback(state.iteration, point, score, state.best_score)
         state.iteration += 1
 
-    try:
-        for _ in range(n_init):
-            point = rng.uniform(lo, hi)
-            note(point, objective(point))
+    for _ in range(n_init):
+        point = rng.uniform(lo, hi)
+        note(point, objective(point))
 
-        hypers = None
-        for _ in range(n_iter):
-            opts = replace(fit_options, seed=fit_options.seed + state.iteration)
-            if hyperopt_every(state.x.shape[0]) or hypers is None:
-                model = fit_state_model(state, opts)
-                hypers = (model.lengthscales, model.signal_var, model.noise_var)
-            else:
-                model = fit_state_model(state, opts, hyperparams=hypers)
-            point = bo_propose(state, model)
-            note(point, objective(point))
-    finally:
-        if log is not None:
-            log.close()
+    hypers = None
+    for _ in range(n_iter):
+        opts = replace(fit_options, seed=fit_options.seed + state.iteration)
+        if hyperopt_every(state.x.shape[0]) or hypers is None:
+            model = fit_state_model(state, opts)
+            hypers = (model.lengthscales, model.signal_var, model.noise_var)
+        else:
+            model = fit_state_model(state, opts, hyperparams=hypers)
+        point = bo_propose(state, model)
+        note(point, objective(point))
     return state

@@ -386,14 +386,6 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
     )
 
 
-def write_cost_trace_csv(solution: MpcSolution, path) -> None:
-    """Export the solver's per-iteration cost trace."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,cost\n")
-        for i, cost in enumerate(solution.cost_trace):
-            fh.write(f"{i},{format(float(cost), '.17g')}\n")
-
-
 def _warm_or(u_default, warm, n, m):
     if warm is None:
         return u_default

@@ -103,8 +103,6 @@ DEFAULT_CONFIG: dict = {
     "state_high": [5.0, 5.0],
     "init_low": [-0.05, -0.05],
     "init_high": [0.05, 0.05],
-    # optional seeded per-step excitation on the deviation state
-    "disturbance_std": 0.0,
 }
 
 
@@ -122,7 +120,6 @@ class AtropineEnv(ProcessEnv):
         self.model = LinearPlantModel(cfg["a"], cfg["b"], cfg["c"], cfg["k"])
         self.q_steady = np.asarray(cfg["q_steady"], dtype=float)
         self.y_steady = float(cfg["y_steady"])
-        self.disturbance_std = float(cfg["disturbance_std"])
         n_u = self.model.n_inputs
         if not np.all(
             (self.q_steady >= cfg["flow_low"]) & (self.q_steady <= cfg["flow_high"])
@@ -171,10 +168,6 @@ class AtropineEnv(ProcessEnv):
     def _advance(self, state, action):
         u_dev = np.asarray(action, float) - self.q_steady
         new_state = lin_step(state, u_dev, self.model)
-        if self.disturbance_std > 0.0:
-            new_state = new_state + self._rng.normal(
-                0.0, self.disturbance_std, size=new_state.shape
-            )
         # same-step measurement drives the filter used in the observation
         y_meas = lin_output(new_state, self.model)
         self._x_hat = kalman_update(self._x_hat, u_dev, y_meas, self.model)

@@ -5,12 +5,11 @@ diacetyls and ethyl acetate.  The control objective is time-optimal: finish
 fermenting (sugar below a target) as early as possible.  Each step while
 unfinished costs -1; the completing step pays the number of steps saved.
 
-The temperature-dependent rate values are not part of the balance structure;
-they come from a pluggable kinetics closure.  The shipped closure is a
+The temperature-dependent rate values come from ``demo_beer_kinetics``, a
 documented demo with simple exponential temperature laws, calibrated so that
 warm fermentations finish within the episode and cold ones do not.  It is
 not a validated industrial parameter set; every constant can be overridden
-from the config.
+through ``kinetics_params``.
 """
 
 from __future__ import annotations
@@ -116,11 +115,8 @@ def demo_beer_kinetics(state, temperature: float, p: dict) -> BeerRates:
     )
 
 
-BEER_KINETICS = {"demo_exponential": demo_beer_kinetics}
-
 DEFAULT_CONFIG: dict = {
-    "kinetics": "demo_exponential",
-    "kinetics_params": {},  # overrides of the selected closure's constants
+    "kinetics_params": {},  # overrides of DEMO_KINETICS
     "max_steps": 200,
     "error_reward": -200.0,
     "step_hours": 1.0,
@@ -143,7 +139,6 @@ class BeerEnv(ProcessEnv):
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
         self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
-        self._kinetics = BEER_KINETICS[cfg["kinetics"]]
         self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
         self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
         self.s_target = float(cfg["s_target"])
@@ -171,7 +166,7 @@ class BeerEnv(ProcessEnv):
         )
 
     def rates(self, state, temperature: float) -> BeerRates:
-        return self._kinetics(state, temperature, self.kinetics_params)
+        return demo_beer_kinetics(state, temperature, self.kinetics_params)
 
     def _draw_initial_state(self, rng: np.random.Generator) -> np.ndarray:
         state = self.x0.copy()

@@ -235,14 +235,14 @@ def exchange_rhs(
     inlet_cs: float,
     p: ExchangeParams,
     grid: SpatialGrid,
-    literal_adsorption_sign: bool = False,
 ):
     """Time derivatives of (c, q, c_s) for the lumped adsorption model.
 
-    The adsorbed-phase exchange enters the mobile phase with a minus sign
-    (adsorption removes mass from the liquid); ``literal_adsorption_sign``
-    restores the plus-sign variant.  Raises ``ZeroModifierError`` when the
-    isotherm would be evaluated at a vanishing modifier level.
+    The adsorbed-phase exchange enters the mobile phase with a minus sign:
+    adsorption removes mass from the liquid.  A published variant adds it
+    with a plus sign, which creates mass in the column, so the code keeps
+    the sign that conserves the inventory.  Raises ``ZeroModifierError``
+    when the isotherm would be evaluated at a vanishing modifier level.
     """
     if v < 0.0:
         raise ValueError("superficial velocity must be nonnegative")
@@ -256,11 +256,10 @@ def exchange_rhs(
     else:
         dq = np.zeros_like(q)
 
-    sign = 1.0 if literal_adsorption_sign else -1.0
     dc = (
         central_dispersion(grid, c, d_ax)
         + upwind_convection(grid, c, v / p.eps_total, inlet_c)
-        + sign * ((1.0 - p.eps_c) / p.eps_total) * dq
+        - ((1.0 - p.eps_c) / p.eps_total) * dq
     )
     dcs = central_dispersion(grid, c_s, d_ax) + upwind_convection(
         grid, c_s, v / p.eps_total, inlet_cs
@@ -494,6 +493,13 @@ class TransportStepper:
         return np.maximum(e @ y + g * inlet, 0.0)
 
 
+# Most ETD2RK substeps ``ExchangeStepper.advance`` takes in one call.  The
+# env's default operating point needs 1 per slice and the test suite at
+# most 9; a steep isotherm, such as a 0.1 M cation-exchange modifier inlet,
+# asks for about a million, which would hang the step instead of failing it.
+MAX_EXCHANGE_SUBSTEPS = 1000
+
+
 class ExchangeStepper:
     """Exponential time differencing march of a lumped adsorption column.
 
@@ -504,7 +510,7 @@ class ExchangeStepper:
         X = k*H(c_s)*(1 - q/q_max)*c,   H(c_s) = h_0*c_s^(-beta),
         Y = X - k*H_in*c,               H_in = H(inlet modifier),
 
-    and B = (sign*(1-eps_c)/eps_total, 1) spreading the adsorption over
+    and B = (-(1-eps_c)/eps_total, 1) spreading the adsorption over
     both phases.  The constant matrix M holds the transport of c, the
     linear desorption -k*q and the linear adsorption k*H_in*c at the
     modifier level the column is driven to, each with its mirror in the
@@ -519,25 +525,20 @@ class ExchangeStepper:
         u' = a + h*phi2(hM) B (Y(a) - Y(u))
 
     where Y(a) reads c_s at the end of the substep.  The substep is set by
-    the rate of Y alone (``max_substep``); the operators are cached per
-    (velocity, inlet modifier, h).  With k = 0 (flow-through) nothing
-    binds: q stays as it is and c is transport like c_s.  With the default
-    adsorption sign, M and B conserve the column inventory
+    the rate of Y alone (``max_substep``); a step that needs more than
+    ``MAX_EXCHANGE_SUBSTEPS`` of them raises ``NonFiniteStateError`` before
+    any operator is built.  The operators are cached per (velocity, inlet
+    modifier, h).  With k = 0 (flow-through) nothing binds: q stays as it
+    is and c is transport like c_s.  M and B conserve the column inventory
     eps_total*c + (1 - eps_c)*q except for the transport fluxes, as
     ``exchange_rhs`` does.
     """
 
-    def __init__(
-        self,
-        p: ExchangeParams,
-        grid: SpatialGrid,
-        literal_adsorption_sign: bool = False,
-    ):
+    def __init__(self, p: ExchangeParams, grid: SpatialGrid):
         self.p = p
         self.grid = grid
         self.transport = TransportStepper(grid, p.d_ax_factor, p.eps_total)
-        sign = 1.0 if literal_adsorption_sign else -1.0
-        self.to_c = sign * (1.0 - p.eps_c) / p.eps_total
+        self.to_c = -(1.0 - p.eps_c) / p.eps_total
         self._ops_key = None
         self._ops: dict = {}
 
@@ -612,8 +613,13 @@ class ExchangeStepper:
                 q.copy(),
                 self.transport.advance(c_s, v, inlet_cs, dt),
             )
-        h_max = self.max_substep(c, q, c_s, inlet_c, inlet_cs)
-        n_sub = max(1, int(np.ceil(dt / h_max)))
+        n_sub = np.ceil(dt / self.max_substep(c, q, c_s, inlet_c, inlet_cs))
+        if n_sub > MAX_EXCHANGE_SUBSTEPS:
+            raise NonFiniteStateError(
+                f"exchange column needs {n_sub:.3g} substeps in {dt:g} min, "
+                f"more than {MAX_EXCHANGE_SUBSTEPS}"
+            )
+        n_sub = max(1, int(n_sub))
         h = dt / n_sub
         expo, phi1_b, phi2_b, g_c, e_s, g_s = self._operators(v, inlet_cs, h)
         h_in = self._henry(inlet_cs)

@@ -119,10 +119,6 @@ DEFAULT_CONFIG: dict = {
     "aex_modifier_in": 0.5,
     "modifier_floor": 1e-3,
     "reward_scale": 1e-3,
-    "literal_gln_recycle": False,
-    "literal_adsorption_sign": False,
-    # per-step capture/elution/polish outlet log for breakthrough curves
-    "log_breakthrough": False,
     "action_low": [0.0, 0.0, 0.0, 0.0, 33.0, 0.0, 0.0, 0.0, 0.0],
     "action_high": [0.2, 0.5, 0.5, 0.2, 37.0, 100.0, 10.0, 10.0, 10.0],
     "upstream_low": [100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 33.0,
@@ -179,21 +175,11 @@ class MabEnv(ProcessEnv):
         self.cs_aex_in = float(cfg["aex_modifier_in"])
         self.cs_floor = float(cfg["modifier_floor"])
         self.reward_scale = float(cfg["reward_scale"])
-        self.literal_gln_recycle = bool(cfg["literal_gln_recycle"])
-        self.literal_adsorption_sign = bool(cfg["literal_adsorption_sign"])
-        self._elu_stepper = ExchangeStepper(
-            self.elu, self.cap_grid, self.literal_adsorption_sign
-        )
-        self._cex_stepper = ExchangeStepper(
-            self.cex, self.pol_grid, self.literal_adsorption_sign
-        )
-        self._aex_stepper = ExchangeStepper(
-            self.aex, self.pol_grid, self.literal_adsorption_sign
-        )
+        self._elu_stepper = ExchangeStepper(self.elu, self.cap_grid)
+        self._cex_stepper = ExchangeStepper(self.cex, self.pol_grid)
+        self._aex_stepper = ExchangeStepper(self.aex, self.pol_grid)
         self._vi_stepper = TransportStepper(self.loop_grid, self.loop.d_ax_factor)
         self._hold_stepper = TransportStepper(self.loop_grid, self.loop.d_ax_factor)
-        self.log_breakthrough = bool(cfg["log_breakthrough"])
-        self.breakthrough_log: list[tuple] = []
         self.initial_upstream = np.asarray(cfg["initial_upstream"], float)
         self.init_rel = float(cfg["init_rel"])
         self.init_temp_range = tuple(cfg["init_temp_range"])
@@ -253,7 +239,6 @@ class MabEnv(ProcessEnv):
         )
 
     def _draw_initial_state(self, rng: np.random.Generator) -> MabState:
-        self.breakthrough_log = []
         x = self.initial_upstream.copy()
         jitter = rng.uniform(1.0 - self.init_rel, 1.0 + self.init_rel, size=N_STATES)
         x = x * jitter
@@ -268,13 +253,7 @@ class MabEnv(ProcessEnv):
 
     def _upstream_deriv(self, action7):
         def deriv(fields):
-            return [
-                upstream_rhs(
-                    fields[0], action7, self.params,
-                    strict=False,
-                    literal_gln_recycle=self.literal_gln_recycle,
-                )
-            ]
+            return [upstream_rhs(fields[0], action7, self.params, strict=False)]
         return deriv
 
     def _upstream_h0(self, x: np.ndarray) -> float:
@@ -365,18 +344,6 @@ class MabEnv(ProcessEnv):
             s.schedule, swaps = twin_column_tick(s.schedule, dt)
             for _ in range(swaps):
                 self._swap_roles(s)
-        if self.log_breakthrough:
-            loader = s.columns[s.schedule.loading_column]
-            purifier = s.columns[1 - s.schedule.loading_column]
-            self.breakthrough_log.append(
-                (
-                    len(self.breakthrough_log),
-                    float(loader.c[-1]),
-                    float(purifier.c_elu[-1]),
-                    float(s.aex_c[-1]),
-                    float(s.product_mg),
-                )
-            )
         return s
 
     def _swap_roles(self, s: MabState) -> None:
@@ -445,28 +412,3 @@ class MabEnv(ProcessEnv):
     @property
     def product_recovered_mg(self) -> float:
         return float(self.state.product_mg)
-
-    def write_breakthrough_csv(self, path) -> None:
-        """Dump the per-step outlet log (enable ``log_breakthrough``)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,load_outlet,elution_outlet,polish_outlet,product_mg\n")
-            for row in self.breakthrough_log:
-                fh.write(",".join(str(v) for v in row) + "\n")
-
-    def write_field_csv(self, path) -> None:
-        """Dump the current column axial profiles for breakthrough inspection."""
-        s = self.state
-        rows = []
-        for idx, col in enumerate(s.columns):
-            for j in range(self.cap_grid.n_axial):
-                rows.append(
-                    (f"capture{idx}", j, col.c[j], col.q1[j], col.q2[j],
-                     col.c_elu[j], col.q_elu[j], col.cs_elu[j])
-                )
-        for j in range(self.pol_grid.n_axial):
-            rows.append(("cex", j, s.cex_c[j], s.cex_q[j], s.cex_cs[j], "", "", ""))
-            rows.append(("aex", j, s.aex_c[j], s.aex_q[j], s.aex_cs[j], "", "", ""))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("unit,node,c,q1_or_q,q2_or_cs,c_elu,q_elu,cs_elu\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")

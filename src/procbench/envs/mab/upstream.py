@@ -139,14 +139,13 @@ def upstream_rhs(
     action,
     p: UpstreamParams,
     strict: bool = True,
-    literal_gln_recycle: bool = False,
 ):
     """Balance equations for all 17 states; accepts batched inputs.
 
-    ``literal_gln_recycle`` switches the bioreactor glutamine recycle term
-    to the variant that couples it to the glucose level instead of the
-    recycle-stream glutamine; the default is the pattern every other solute
-    follows.
+    The bioreactor glutamine recycle term follows the pattern of every
+    other solute, drec*(gln_r - gln1).  A published variant couples it to
+    the glucose level, -drec*(glc1 - gln1); no other balance has that form,
+    so the code reads it as a misprint.
     """
     state = np.asarray(state, float)
     action = np.asarray(action, float)
@@ -201,11 +200,10 @@ def upstream_rhs(
     d_xv1 = mu * xv1 - mu_d * xv1 - din * xv1 + drec * (xv_r - xv1)
     d_xt1 = mu * xv1 - din * xt1 + drec * (xt_r - xt1)
     d_glc1 = -q_glc * xv1 + din * (glc_in - glc1) + drec * (glc_r - glc1)
-    if literal_gln_recycle:
-        gln_recycle = -drec * (glc1 - gln1)
-    else:
-        gln_recycle = drec * (gln_r - gln1)
-    d_gln1 = -q_gln * xv1 - p.k_d_gln * gln1 + din * (p.gln_in - gln1) + gln_recycle
+    d_gln1 = (
+        -q_gln * xv1 - p.k_d_gln * gln1 + din * (p.gln_in - gln1)
+        + drec * (gln_r - gln1)
+    )
     d_lac1 = q_lac * xv1 - din * lac1 + drec * (lac_r - lac1)
     d_amm1 = q_amm * xv1 + p.k_d_gln * gln1 - din * amm1 + drec * (amm_r - amm1)
     d_mab1 = q_mab * xv1 - din * mab1 + drec * (mab_r - mab1)

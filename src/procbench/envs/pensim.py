@@ -2,11 +2,10 @@
 
 Biomass is split into four regions -- growing (A0), non-growing (A1),
 degenerated (A3) and autolysed (A4) -- with product, substrate and volume
-balances on top.  The region/product/substrate/volume balance structure is
-fixed; the kinetic rate laws feeding it are pluggable because validated rate
-parameters live outside this package.  The shipped ``demo_monod`` closure is
-a self-consistent Monod-type demo set, fully exposed through the config and
-not to be mistaken for a calibrated industrial model.
+balances on top.  The rate laws feeding the balances are a self-consistent
+Monod-type demo set (``demo_monod_kinetics``), every constant of which can be
+overridden through ``kinetics_params``; it is not a calibrated industrial
+model, since validated rate parameters live outside this package.
 
 Each control interval is integrated by the Dormand-Prince 5(4) pair of
 ``kernels`` with PI step-size control (relative tolerance ``rtol``,
@@ -67,13 +66,12 @@ def pensim_rhs(
     y_sx: float,
     y_sp: float,
     m_s: float,
-    literal_a1_outflow: bool = False,
 ):
     """Region/product/substrate/volume balances.
 
-    ``literal_a1_outflow`` selects the variant where the degeneration rate
-    multiplies the A1 washout term instead of standing alone; the default is
-    the dimensionally consistent reading (degeneration as its own sink).
+    Degeneration is a sink of A1 of its own.  A published variant multiplies
+    the A1 washout term by the degeneration rate instead; that product is
+    not dimensionally a rate, so the code takes the consistent reading.
     """
     a0, a1, a3, a4, p, s, v = state
     if v <= 1e-6:
@@ -83,10 +81,7 @@ def pensim_rhs(
     f_in = f_s + f_oil + f_paa + f_ab + f_w  # streams entering the vessel
 
     da0 = rates.r_b - rates.r_diff - f_in * a0 / v
-    if literal_a1_outflow:
-        da1 = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg * f_in * a1 / v
-    else:
-        da1 = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg - f_in * a1 / v
+    da1 = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg - f_in * a1 / v
     da3 = rates.r_deg - rates.r_a - f_in * a3 / v
     da4 = rates.r_a - f_in * a4 / v
     dp = rates.r_p - rates.r_h - f_in * p / v
@@ -145,7 +140,7 @@ def demo_monod_kinetics(state, p: dict) -> PenRates:
     )
 
 
-def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s, literal_a1):
+def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s):
     """Demo kinetics and balances fused into one closure with local constants.
 
     Semantically identical to composing ``demo_monod_kinetics`` with
@@ -177,13 +172,9 @@ def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s, literal
         r_h = k_h * p
         r_m = a0 * (sp / (km + sp))
         out_frac = f_in / v
-        if literal_a1:
-            da1 = r_e - r_b + r_diff - r_deg * out_frac * a1
-        else:
-            da1 = r_e - r_b + r_diff - r_deg - out_frac * a1
         return (
             r_b - r_diff - out_frac * a0,
-            da1,
+            r_e - r_b + r_diff - r_deg - out_frac * a1,
             r_deg - r_a - out_frac * a3,
             r_a - out_frac * a4,
             r_p - r_h - out_frac * p,
@@ -195,12 +186,8 @@ def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s, literal
     return deriv
 
 
-PENSIM_KINETICS = {"demo_monod": demo_monod_kinetics}
-PENSIM_FUSED_DERIVS = {"demo_monod": _fused_demo_monod_deriv}
-
 DEFAULT_CONFIG: dict = {
-    "kinetics": "demo_monod",
-    "kinetics_params": {},
+    "kinetics_params": {},  # overrides of DEMO_KINETICS
     "max_steps": 1150,
     "error_reward": -100.0,
     "step_hours": 1.0,
@@ -216,7 +203,6 @@ DEFAULT_CONFIG: dict = {
     "y_sp": 0.9,
     "m_s": 0.01,
     "smoothness_penalty": 0.01,
-    "literal_a1_outflow": False,
     "initial_state": [1.0, 0.2, 0.0, 0.0, 0.0, 5.0, 100.0],
     "init_rel": 0.1,       # +-10% on A0, s; +-5% on V
     "state_low": [0.0, 0.0, 0.0, 0.0, 0.0, -0.01, 30.0],
@@ -232,7 +218,6 @@ class PenSimEnv(ProcessEnv):
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
         self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
-        self._kinetics = PENSIM_KINETICS[cfg["kinetics"]]
         self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
         self.rtol = require_positive("rtol", float(cfg["rtol"]))
         self.feeds = (float(cfg["feed_sugar"]), float(cfg["feed_oil"]))
@@ -241,7 +226,6 @@ class PenSimEnv(ProcessEnv):
         self.y_sp = float(cfg["y_sp"])
         self.m_s = float(cfg["m_s"])
         self.smoothness = float(cfg["smoothness_penalty"])
-        self.literal_a1_outflow = bool(cfg["literal_a1_outflow"])
         self.x0 = np.asarray(cfg["initial_state"], dtype=float)
         self.init_rel = float(cfg["init_rel"])
 
@@ -268,24 +252,19 @@ class PenSimEnv(ProcessEnv):
             dim=N_STATES,
             rhs=lambda t, x, u: np.asarray(self.rhs_tuple(tuple(x), tuple(u)), float),
         )
-        fused = PENSIM_FUSED_DERIVS.get(cfg["kinetics"])
-        if fused is not None:
-            self._deriv = fused(
-                self.kinetics_params,
-                self.feeds,
-                self.evaporation_rate,
-                self.y_sx,
-                self.y_sp,
-                self.m_s,
-                self.literal_a1_outflow,
-            )
-        else:
-            self._deriv = self.rhs_tuple
+        self._deriv = _fused_demo_monod_deriv(
+            self.kinetics_params,
+            self.feeds,
+            self.evaporation_rate,
+            self.y_sx,
+            self.y_sp,
+            self.m_s,
+        )
 
     # -- model pieces ------------------------------------------------------
 
     def rates(self, state) -> PenRates:
-        return self._kinetics(state, self.kinetics_params)
+        return demo_monod_kinetics(state, self.kinetics_params)
 
     def rhs_tuple(self, state, action):
         f_evp = self.evaporation_rate * state[6]
@@ -298,7 +277,6 @@ class PenSimEnv(ProcessEnv):
             self.y_sx,
             self.y_sp,
             self.m_s,
-            self.literal_a1_outflow,
         )
 
     # -- episode hooks -----------------------------------------------------

@@ -125,13 +125,3 @@ def test_config_matrix_override():
     assert np.array_equal(env.model.a, 0.5 * np.eye(2))
 
 
-def test_disturbance_is_seeded():
-    cfg = {"disturbance_std": 0.01}
-    env1, env2 = AtropineEnv(cfg), AtropineEnv(cfg)
-    env1.reset(seed=9)
-    env2.reset(seed=9)
-    for _ in range(5):
-        r1 = env1.step(Q_STEADY)
-        r2 = env2.step(Q_STEADY)
-        assert np.array_equal(r1.observation, r2.observation)
-    assert not np.array_equal(env1.state, np.zeros(2))

@@ -132,6 +132,13 @@ def test_best_score_nondecreasing_and_refit_once_per_observation(monkeypatch):
 
     monkeypatch.setattr(bo, "fit_gp", counting_fit)
     bests = []
+    real_propose = bo.bo_propose
+
+    def recording_propose(state, model):
+        bests.append(state.best_score)
+        return real_propose(state, model)
+
+    monkeypatch.setattr(bo, "bo_propose", recording_propose)
     state = run_bo(
         lambda p: -((p[0] - 0.6) ** 2),
         [0.0], [1.0],
@@ -140,8 +147,8 @@ def test_best_score_nondecreasing_and_refit_once_per_observation(monkeypatch):
         seed=2,
         fit_options=FAST_FIT,
         hyperopt_every=lambda n: n % 2 == 0,
-        callback=lambda i, p, s, best: bests.append(best),
     )
+    assert len(bests) == 7
     assert np.all(np.diff(bests) >= 0.0)
     assert state.best_score == max(state.scores)
     assert calls["n"] == 7  # exactly one posterior fit per proposal round
@@ -176,13 +183,3 @@ def test_ill_conditioned_kernel_raises():
     with pytest.raises(IllConditionedKernelError):
         _chol_with_jitter(indefinite)
 
-
-def test_run_log_csv(tmp_path):
-    path = tmp_path / "bo_log.csv"
-    state = run_bo(lambda p: -(p[0] - 0.4) ** 2, [0.0], [1.0], n_init=3,
-                   n_iter=4, seed=1, fit_options=FAST_FIT, log_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,x_0,score,best_score"
-    assert len(lines) == 8
-    last_best = float(lines[-1].rsplit(",", 1)[1])
-    assert last_best == state.best_score

@@ -309,20 +309,14 @@ def test_steady_state_optimum_no_feasible():
                                    n_starts=2)
 
 
-def test_spec_from_config_and_trace_csv(tmp_path):
-    from procbench.control import write_cost_trace_csv
-
+def test_spec_from_config():
     config = dict(horizon=2, dt=0.5, q_weights=[1.0], r_weights=[0.1],
                   x_setpoint=[0.0], u_setpoint=[0.0], u_min=[-1.0], u_max=[1.0])
     spec = MpcSpec(**config)
     sol = solve_mpc(spec, integrator_system(), np.array([1.0]))
-    path = tmp_path / "trace.csv"
-    write_cost_trace_csv(sol, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,cost"
-    assert len(lines) == len(sol.cost_trace) + 1
-    costs = [float(l.split(",")[1]) for l in lines[1:]]
-    assert costs == sol.cost_trace
+    assert sol.u_sequence.shape == (2, 1)
+    assert np.all(np.abs(sol.u_sequence) <= 1.0)
+    assert sol.cost == sol.cost_trace[-1]
 
 
 def test_simulate_stages_matches_hand_rk4_loop():

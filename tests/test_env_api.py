@@ -1,5 +1,8 @@
 """Episodic-contract tests: seeding, failure semantics, replay, config."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,64 @@ def test_reset_determinism_and_membership():
         assert not np.array_equal(a, c), name
 
 
+MAB_COARSE = {
+    "grids": {"capture_axial": 8, "capture_radial": 3, "loop_axial": 6, "polish_axial": 5},
+    "schedule_minutes": 90.0,  # the second step swaps the capture columns
+}
+
+
+# an in-box action per plant that two steps from reset(seed=13) survive
+CONTRACT_ACTIONS = {
+    "reactor": [0.1, 295.0],
+    "atropine": [0.4078, 0.1089, 0.3888, 0.2126],
+    "pensim": [0.05] * 6,
+    "beer": [12.5],
+    "mab": [0.05, 0.1, 0.15, 0.05, 36.5, 50.0, 0.0, 2.0, 2.0],
+}
+
+
+def _assert_same(before, after, path="state"):
+    if dataclasses.is_dataclass(before):
+        assert type(after) is type(before), path
+        for f in dataclasses.fields(before):
+            _assert_same(getattr(before, f.name), getattr(after, f.name),
+                         f"{path}.{f.name}")
+    elif isinstance(before, list):
+        assert len(after) == len(before), path
+        for i, (b, a) in enumerate(zip(before, after)):
+            _assert_same(b, a, f"{path}[{i}]")
+    elif isinstance(before, np.ndarray):
+        assert np.array_equal(before, after), path
+    else:
+        assert before == after, path
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_reset_is_deterministic_and_step_never_mutates_previous_state(name):
+    env = make_env(name, MAB_COARSE if name == "mab" else None)
+    action = CONTRACT_ACTIONS[name]
+
+    def episode():
+        observations = [env.reset(seed=13)]
+        states = [copy.deepcopy(env.state)]
+        for _ in range(2):
+            prev = env.state
+            snapshot = copy.deepcopy(prev)
+            r = env.step(action)
+            assert not r.failure
+            assert env.state is not prev
+            _assert_same(snapshot, prev)
+            observations.append(r.observation)
+            states.append(copy.deepcopy(env.state))
+        return observations, states
+
+    obs_a, states_a = episode()
+    obs_b, states_b = episode()
+    for a, b in zip(obs_a, obs_b):
+        assert np.array_equal(a, b)
+    _assert_same(states_a, states_b)
+
+
 def test_reactor_thousand_resets_inside_init_box():
     env = make_env("reactor")
     for seed in range(1000):
@@ -176,9 +237,23 @@ def test_caption_inequality_all_envs():
         assert validate_episode_config(env.episode_config(), env.reward_floor()), name
 
 
-def test_unknown_config_key_rejected():
+@pytest.mark.parametrize(
+    "name,key",
+    [
+        ("reactor", "not_a_key"),
+        # switches of deleted model variants, registries and outlet logs
+        ("pensim", "kinetics"),
+        ("pensim", "literal_a1_outflow"),
+        ("beer", "kinetics"),
+        ("mab", "literal_gln_recycle"),
+        ("mab", "literal_adsorption_sign"),
+        ("mab", "log_breakthrough"),
+        ("atropine", "disturbance_std"),
+    ],
+)
+def test_unknown_config_key_rejected(name, key):
     with pytest.raises(KeyError):
-        make_env("reactor", {"not_a_key": 1})
+        make_env(name, {key: 1})
 
 
 @pytest.mark.parametrize(

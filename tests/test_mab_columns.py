@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from procbench.envs.mab.columns import (
+    MAX_EXCHANGE_SUBSTEPS,
     CaptureParams,
     ExchangeParams,
     ExchangeStepper,
@@ -24,7 +25,7 @@ from procbench.envs.mab.columns import (
     loop_rhs,
     transport_operator,
 )
-from procbench.errors import ZeroModifierError
+from procbench.errors import NonFiniteStateError, ZeroModifierError
 from procbench.kernels import SpatialGrid
 
 
@@ -374,20 +375,6 @@ def test_elution_inert_modifier_transport_only():
     assert np.max(np.abs(dcs)) > 0.0
 
 
-def test_literal_adsorption_sign_flips_coupling():
-    p = capture_elution_params()
-    grid = SpatialGrid(6, p.length, volume=p.volume)
-    rng = np.random.default_rng(5)
-    c = rng.uniform(0.1, 1.0, 6)
-    q = rng.uniform(0.0, 50.0, 6)
-    cs = np.full(6, 0.1)
-    dc_minus, dq, _ = exchange_rhs(c, q, cs, 0.0, 0.0, 0.1, p, grid)
-    dc_plus, _, _ = exchange_rhs(c, q, cs, 0.0, 0.0, 0.1, p, grid,
-                                 literal_adsorption_sign=True)
-    assert np.allclose(dc_plus, -dc_minus, rtol=1e-14)
-    assert np.max(np.abs(dq)) > 0.0
-
-
 def test_integrate_fields_survives_stiff_start():
     decay = 1000.0
 
@@ -656,3 +643,18 @@ def test_exchange_stepper_requires_modifier():
     stepper = ExchangeStepper(p, grid)
     with pytest.raises(ZeroModifierError):
         stepper.advance(np.ones(5), np.ones(5), np.zeros(5), 1.0, 0.0, 0.1, 1.0)
+
+
+def test_exchange_stepper_fails_a_step_that_needs_too_many_substeps():
+    """A 0.1 M modifier inlet makes the cation-exchange isotherm about 9e5
+    times steeper than at 0.5 M and asks for about 8e5 substeps per minute;
+    the step fails at once instead of hanging."""
+    p = cex_params()
+    grid = _polish_grid(p)
+    stepper = ExchangeStepper(p, grid)
+    z = np.zeros(grid.n_axial)
+    cs = np.full(grid.n_axial, 0.5)
+    assert 1.0 / stepper.max_substep(z, z, cs, 0.02, 0.1) > MAX_EXCHANGE_SUBSTEPS
+    with pytest.raises(NonFiniteStateError, match="substeps"):
+        stepper.advance(z, z, cs, 2.0, 0.02, 0.1, 1.0)
+    assert stepper._ops == {}  # failed before building any operator

@@ -19,7 +19,7 @@ from procbench.envs.mab.upstream import (
 from procbench.errors import TemperatureOutOfRangeError, ZeroRecycleFlowError
 
 
-def duplicate_rhs(x, u, p, literal_gln=False):
+def duplicate_rhs(x, u, p):
     """Independent scalar re-coding of all seventeen balances (oracle)."""
     (v1, xv1, xt1, glc1, gln1, lac1, amm1, mab1, temp,
      v2, xv2, xt2, glc2, gln2, lac2, amm2, mab2) = x
@@ -54,11 +54,10 @@ def duplicate_rhs(x, u, p, literal_gln=False):
     out[1] = mu * xv1 - mu_d * xv1 - f_in / v1 * xv1 + f_r / v1 * (xv_r - xv1)
     out[2] = mu * xv1 - f_in / v1 * xt1 + f_r / v1 * (xt_r - xt1)
     out[3] = -q_glc * xv1 + f_in / v1 * (glc_in - glc1) + f_r / v1 * (glc_r - glc1)
-    if literal_gln:
-        rec = -f_r / v1 * (glc1 - gln1)
-    else:
-        rec = f_r / v1 * (gln_r - gln1)
-    out[4] = -q_gln * xv1 - p.k_d_gln * gln1 + f_in / v1 * (p.gln_in - gln1) + rec
+    out[4] = (
+        -q_gln * xv1 - p.k_d_gln * gln1 + f_in / v1 * (p.gln_in - gln1)
+        + f_r / v1 * (gln_r - gln1)
+    )
     out[5] = q_lac * xv1 - f_in / v1 * lac1 + f_r / v1 * (lac_r - lac1)
     out[6] = q_amm * xv1 + p.k_d_gln * gln1 - f_in / v1 * amm1 + f_r / v1 * (amm_r - amm1)
     out[7] = q_mab * xv1 - f_in / v1 * mab1 + f_r / v1 * (mab_r - mab1)
@@ -182,20 +181,6 @@ def test_rhs_matches_duplicate_oracle():
         want = duplicate_rhs(x, u, p)
         denom = np.maximum(np.abs(want), 1e-30)
         assert np.max(np.abs(got - want) / denom) < 1e-12
-
-
-def test_rhs_literal_gln_variant():
-    p = UpstreamParams()
-    rng = np.random.default_rng(29)
-    xs, us = random_points(rng, 50)
-    for x, u in zip(xs, us):
-        got = upstream_rhs(x, u, p, literal_gln_recycle=True)
-        want = duplicate_rhs(x, u, p, literal_gln=True)
-        denom = np.maximum(np.abs(want), 1e-30)
-        assert np.max(np.abs(got - want) / denom) < 1e-12
-        default = upstream_rhs(x, u, p)
-        diff = np.abs(got - default)
-        assert np.max(np.delete(diff, 4)) == 0.0  # only the GLN row changes
 
 
 def test_separator_inert_without_feed_or_recycle():

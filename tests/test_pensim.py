@@ -21,18 +21,14 @@ def zero_rates(**overrides):
     return PenRates(**base)
 
 
-def duplicate_rhs(state, rates, action, feeds, f_evp, y_sx, y_sp, m_s,
-                  literal=False):
+def duplicate_rhs(state, rates, action, feeds, f_evp, y_sx, y_sp, m_s):
     """Independent re-coding of the seven balances (oracle)."""
     a0, a1, a3, a4, p, s, v = state
     f_s, f_oil, f_paa, f_ab, f_w, f_dis = action
     f_in = f_s + f_oil + f_paa + f_ab + f_w
     out = np.empty(7)
     out[0] = rates.r_b - rates.r_diff - f_in * a0 / v
-    if literal:
-        out[1] = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg * f_in * a1 / v
-    else:
-        out[1] = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg - f_in * a1 / v
+    out[1] = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg - f_in * a1 / v
     out[2] = rates.r_deg - rates.r_a - f_in * a3 / v
     out[3] = rates.r_a - f_in * a4 / v
     out[4] = rates.r_p - rates.r_h - f_in * p / v
@@ -59,8 +55,7 @@ def test_single_feed_term():
     assert d[6] == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_rhs_matches_duplicate_oracle(literal):
+def test_rhs_matches_duplicate_oracle():
     rng = np.random.default_rng(17)
     for _ in range(300):
         state = tuple(rng.uniform([0, 0, 0, 0, 0, 0, 40], [40, 40, 10, 10, 50, 30, 200]))
@@ -68,22 +63,10 @@ def test_rhs_matches_duplicate_oracle(literal):
         action = tuple(rng.uniform(0, 0.3, 6))
         f_evp = rng.uniform(0, 0.05)
         got = pensim_rhs(state, rates, action, (500.0, 1000.0), f_evp,
-                         1.85, 0.9, 0.01, literal_a1_outflow=literal)
+                         1.85, 0.9, 0.01)
         want = duplicate_rhs(state, rates, action, (500.0, 1000.0), f_evp,
-                             1.85, 0.9, 0.01, literal=literal)
+                             1.85, 0.9, 0.01)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
-
-
-def test_literal_a1_variant_differs_only_in_a1_row():
-    state = (2.0, 3.0, 0.5, 0.1, 1.0, 4.0, 120.0)
-    rates = PenRates(0.1, 0.05, 0.2, 0.08, 0.02, 0.1, 0.01, 1.5)
-    action = (0.1, 0.05, 0.0, 0.0, 0.0, 0.02)
-    a = pensim_rhs(state, rates, action, (500.0, 1000.0), 0.01, 1.85, 0.9, 0.01)
-    b = pensim_rhs(state, rates, action, (500.0, 1000.0), 0.01, 1.85, 0.9, 0.01,
-                   literal_a1_outflow=True)
-    diff = np.abs(np.asarray(a) - np.asarray(b))
-    assert diff[1] > 0.0
-    assert np.max(np.delete(diff, 1)) == 0.0
 
 
 def test_volume_bookkeeping_is_exact_linear():
@@ -207,7 +190,11 @@ def test_observation_layout():
 
 
 def test_kinetics_plugin_selection():
-    with pytest.raises(KeyError):
-        PenSimEnv({"kinetics": "nope"})
+    """The demo rate laws are the only ones; their constants are set
+    through ``kinetics_params``."""
     env = PenSimEnv({"kinetics_params": {"k_prod": 0.01}})
     assert env.kinetics_params["k_prod"] == 0.01
+    state = (1.0, 0.2, 0.0, 0.0, 0.0, 5.0, 100.0)
+    assert env.rates(state).r_p == pytest.approx(
+        0.01 * 1.0 * (5.0 / 5.08) * (10.0 / 15.0), rel=1e-14
+    )
