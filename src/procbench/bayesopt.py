@@ -73,10 +73,6 @@ class GpModel:
     chol: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
 
-    @property
-    def n_train(self) -> int:
-        return self.x_train.shape[0]
-
 
 def _build_posterior(x, y, lengthscales, signal_var, noise_var) -> GpModel:
     prior_mean = float(np.mean(y))
@@ -242,10 +238,6 @@ class BoState:
     @property
     def best_score(self) -> float:
         return float(np.max(self.scores))
-
-    @property
-    def best_point(self) -> np.ndarray:
-        return self.x[int(np.argmax(self.scores))]
 
     def add(self, point: np.ndarray, score: float) -> None:
         self.x = np.vstack([self.x, np.asarray(point, float)[None]])

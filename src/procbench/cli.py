@@ -5,13 +5,14 @@ Subcommands:
 - ``rollout``      run episodes with a controller, JSON report to stdout
 - ``dataset``      generate and persist an offline dataset
 - ``stats``        print the summary row of a stored dataset
-- ``steady-state`` solve the steady-state economic optimum of an env
+- ``steady-state`` solve the reactor's steady-state economic optimum
 - ``validate``     run an environment's configuration/invariant checks
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Machine-readable
-output goes to stdout as JSON; diagnostics go to stderr.  A config file
-(``--config`` or the PROCBENCH_CONFIG environment variable) is a JSON
-object mapping environment names to override dictionaries.
+Exit codes: 0 success, 1 runtime failure, 2 usage error; each error is one
+line on stderr.  Machine-readable output goes to stdout as JSON; diagnostics
+go to stderr.  A config file (``--config`` or the PROCBENCH_CONFIG
+environment variable) is a JSON object mapping environment names to
+override dictionaries.
 """
 
 from __future__ import annotations
@@ -139,102 +140,20 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_steady_state(args) -> int:
-    cfg = env_config(load_config(args.config), args.env)
-    env = make_env(args.env, cfg)
-    if args.env == "reactor":
-        from .kernels import OdeSystem
-        from .policies import reactor_empc_spec
-
-        # the level is a pure integrator: steady operation needs balanced
-        # flows, so the economic search runs over the coolant only
-        stage = reactor_empc_spec(env).stage_value
-        q_in = env.params.q_in
-        reduced = OdeSystem(
-            dim=3,
-            rhs=lambda t, x, u: env.system.rhs(
-                t, x, np.concatenate([[q_in], np.atleast_1d(u)])
-            ),
-        )
-        x_s, u_red, value = solve_steady_state_optimum(
-            reduced,
-            lambda x, u: float(
-                stage(x[None], np.concatenate([[q_in], u])[None])[0]
-            ),
-            env.action_space.low[1:],
-            env.action_space.high[1:],
-            env.x_star,
-            x_min=env.state_box.low,
-            x_max=env.state_box.high,
-            seed=args.seed,
-        )
-        u_s = np.concatenate([[q_in], u_red])
-        residual = float(np.max(np.abs(env.system.rhs(0.0, x_s, u_s))))
-    elif args.env == "atropine":
-        m = env.model
-        gain = m.c @ np.linalg.solve(np.eye(m.n_states) - m.a, m.b)  # dE/du_dev
-        # linear objective over a box: optimum at a corner
-        u_dev = np.where(gain[0] > 0, -env.q_steady, 5.0 - env.q_steady)
-        x_s = np.linalg.solve(np.eye(m.n_states) - m.a, m.b @ u_dev)
-        u_s = env.q_steady + u_dev
-        value = -(env.y_steady + float(m.c[0] @ x_s))
-        residual = float(np.max(np.abs(x_s - m.a @ x_s - m.b @ u_dev)))
-    elif args.env == "mab":
-        from .envs.mab.upstream import economic_objective, upstream_system
-        from .kernels import OdeSystem
-
-        sys17 = upstream_system(env.params, strict=False)
-
-        # both vessel volumes are integrators: steady operation pins
-        # F_1 = F_in + F_r and F_2 = F_in; search the 5 free inputs
-        def expand(u_red):
-            f_in, f_r, t_c, glc_in, amm_in = np.atleast_1d(u_red)
-            return np.array([f_in, f_r, f_in + f_r, f_in, t_c, glc_in, amm_in])
-
-        # cell counts sit nine orders of magnitude above concentrations;
-        # Newton runs on the nondimensionalized system
-        scales = np.maximum(np.abs(env.initial_upstream), 1e-3)
-        reduced = OdeSystem(
-            dim=17,
-            rhs=lambda t, y, u: sys17.rhs(t, y * scales, expand(u)) / scales,
-        )
-        lo7, hi7 = env.action_space.low[:7], env.action_space.high[:7]
-        red_idx = [0, 1, 4, 5, 6]
-        y_s, u_red, value = solve_steady_state_optimum(
-            reduced,
-            lambda y, u: float(economic_objective(y * scales, expand(u))),
-            lo7[red_idx],
-            hi7[red_idx],
-            env.initial_upstream / scales,
-            x_min=env.upstream_box.low / scales,
-            x_max=env.upstream_box.high / scales,
-            n_starts=2,
-            seed=args.seed,
-        )
-        x_s = y_s * scales
-        u_s = expand(u_red)
-        # residual of the scaled system (what the solver drove to zero)
-        residual = float(np.max(np.abs(sys17.rhs(0.0, x_s, u_s) / scales)))
-    elif args.env == "pensim":
-        def stage(x, u):
-            rates = env.rates(tuple(x))
-            return (rates.r_p - rates.r_h) * x[6] * 1e-3
-
-        x_s, u_s, value = solve_steady_state_optimum(
-            env.system,
-            stage,
-            env.action_space.low,
-            env.action_space.high,
-            env.x0,
-            x_min=env.state_box.low,
-            x_max=env.state_box.high,
-            n_starts=4,
-            seed=args.seed,
-        )
-        residual = float(np.max(np.abs(env.system.rhs(0.0, x_s, u_s))))
-    else:
-        print(f"steady-state is not defined for {args.env!r} (batch process)",
-              file=sys.stderr)
-        return 2
+    env = make_env(args.env, env_config(load_config(args.config), args.env))
+    problem = env.steady_state_problem()
+    x_s, u_red, value = solve_steady_state_optimum(
+        problem.system,
+        problem.stage_value,
+        problem.u_min,
+        problem.u_max,
+        problem.x_guess,
+        x_min=problem.x_min,
+        x_max=problem.x_max,
+        seed=args.seed,
+    )
+    u_s = problem.full_input(u_red)
+    residual = float(np.max(np.abs(problem.system.rhs(0.0, x_s, u_red))))
     print(
         json.dumps(
             {
@@ -272,15 +191,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+class OneLineErrorParser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = OneLineErrorParser(
         prog="procbench",
         description="Process-control simulation benchmarks and baselines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, controller=True):
-        p.add_argument("--env", required=True, choices=sorted(ENVIRONMENTS))
+    def add_common(p, controller=True, envs=tuple(sorted(ENVIRONMENTS))):
+        p.add_argument("--env", required=True, choices=envs)
         if controller:
             p.add_argument("--controller", required=True, choices=CONTROLLERS)
             p.add_argument("--episodes", type=positive_int, default=1)
@@ -303,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("steady-state", help="economic steady-state optimum")
-    add_common(p, controller=False)
+    # reactor only: beer and pensim are batch processes, the atropine model
+    # has no floor on its E-factor, and the mab search takes minutes
+    add_common(p, controller=False, envs=("reactor",))
     p.set_defaults(handler=_cmd_steady_state)
 
     p = sub.add_parser("validate", help="run per-env invariant checks")

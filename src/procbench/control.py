@@ -2,8 +2,7 @@
 
 PID with clamp anti-windup, setpoint-tracking and economic model predictive
 control transcribed by direct single shooting with piecewise-constant
-inputs, and the steady-state economic optimizer that supplies tracking
-setpoints.
+inputs, and a multi-start steady-state economic optimizer.
 
 The shooting solver works on input sequences scaled to the unit box, with
 batched Armijo backtracking over twelve step lengths per iteration.  Each

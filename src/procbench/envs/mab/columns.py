@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ...errors import NonFiniteStateError, ZeroModifierError
+from ...errors import NonFiniteStateError, StiffnessError, ZeroModifierError
 from ...kernels import SpatialGrid, central_dispersion, upwind_convection
 
 
@@ -526,7 +526,7 @@ class ExchangeStepper:
 
     where Y(a) reads c_s at the end of the substep.  The substep is set by
     the rate of Y alone (``max_substep``); a step that needs more than
-    ``MAX_EXCHANGE_SUBSTEPS`` of them raises ``NonFiniteStateError`` before
+    ``MAX_EXCHANGE_SUBSTEPS`` of them raises ``StiffnessError`` before
     any operator is built.  The operators are cached per (velocity, inlet
     modifier, h).  With k = 0 (flow-through) nothing binds: q stays as it
     is and c is transport like c_s.  M and B conserve the column inventory
@@ -615,7 +615,7 @@ class ExchangeStepper:
             )
         n_sub = np.ceil(dt / self.max_substep(c, q, c_s, inlet_c, inlet_cs))
         if n_sub > MAX_EXCHANGE_SUBSTEPS:
-            raise NonFiniteStateError(
+            raise StiffnessError(
                 f"exchange column needs {n_sub:.3g} substeps in {dt:g} min, "
                 f"more than {MAX_EXCHANGE_SUBSTEPS}"
             )

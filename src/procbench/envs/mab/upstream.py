@@ -234,10 +234,11 @@ def upstream_rhs(
     )
 
 
-def upstream_system(p: UpstreamParams, strict: bool = False) -> OdeSystem:
-    """Kernel/controller view of the upstream dynamics."""
+def upstream_system(p: UpstreamParams) -> OdeSystem:
+    """Controller view of the upstream dynamics; it extrapolates the growth
+    laws outside their fitted temperature range (``strict=False``)."""
     return OdeSystem(
         dim=N_STATES,
-        rhs=lambda t, x, u: upstream_rhs(x, u, p, strict=strict),
+        rhs=lambda t, x, u: upstream_rhs(x, u, p, strict=False),
         vectorized=True,
     )

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DegenerateVolumeError, NonFiniteStateError
-from ..kernels import DOPRI_A, DOPRI_B, DOPRI_E, OdeSystem, pi_step_factor
+from ..errors import DegenerateVolumeError, NonFiniteStateError, StiffnessError
+from ..kernels import DOPRI_A, DOPRI_B, DOPRI_E, pi_step_factor
 from ..spaces import ContinuousSpace
 from .base import ProcessEnv, deep_merge, require_positive
 
@@ -248,10 +248,6 @@ class PenSimEnv(ProcessEnv):
             state_box_tol=1e-9,
         )
         self._prev_action: np.ndarray | None = None
-        self.system = OdeSystem(
-            dim=N_STATES,
-            rhs=lambda t, x, u: np.asarray(self.rhs_tuple(tuple(x), tuple(u)), float),
-        )
         self._deriv = _fused_demo_monod_deriv(
             self.kinetics_params,
             self.feeds,
@@ -301,9 +297,9 @@ class PenSimEnv(ProcessEnv):
 
         A pure function of (state, action): every call starts from
         ``h = step_hours / 4`` and carries nothing to the next call.  A
-        non-finite error estimate, or ``h`` below ``H_MIN_FRACTION *
-        step_hours``, raises ``NonFiniteStateError``, so the step fails
-        through the env contract instead of looping.
+        non-finite error estimate raises ``NonFiniteStateError``, and ``h``
+        below ``H_MIN_FRACTION * step_hours`` raises ``StiffnessError``, so
+        the step fails through the env contract instead of looping.
         """
         x = tuple(float(v) for v in state)
         a = tuple(float(v) for v in action)
@@ -428,7 +424,7 @@ class PenSimEnv(ProcessEnv):
                 rejected = True
             h *= factor
             if h < h_min:
-                raise NonFiniteStateError(
+                raise StiffnessError(
                     f"pensim step size {h:.3e} h fell below {h_min:.3e} h"
                 )
 

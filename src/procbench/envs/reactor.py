@@ -12,6 +12,7 @@ temperature T_c (K).  The controlled variables are c_A and h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -81,6 +82,34 @@ def cstr_rhs(state, action, p: CstrParams):
     )
     dh = (p.q_in - q_out) / area
     return np.stack(np.broadcast_arrays(dc_a, dtemp, dh), axis=-1)
+
+
+def production_rate(state, p: CstrParams):
+    """Product formation rate k_0 exp(-E/RT) c_A times the liquid volume A h
+    (kmol/min); accepts batched states."""
+    c_a = state[..., 0]
+    temp = state[..., 1]
+    h = state[..., 2]
+    return p.k_0 * np.exp(-p.e_over_r / temp) * c_a * p.cross_section * h
+
+
+@dataclass(frozen=True)
+class SteadyStateProblem:
+    """The economic steady-state search on the balanced-flow manifold.
+
+    The level is a pure integrator, so steady operation needs q_out = q_in:
+    ``system`` and ``stage_value`` take the coolant temperature alone as
+    their input, and ``full_input`` maps it back to (q_out, T_c).
+    """
+
+    system: OdeSystem
+    stage_value: Callable[[np.ndarray, np.ndarray], float]
+    u_min: np.ndarray
+    u_max: np.ndarray
+    x_guess: np.ndarray
+    x_min: np.ndarray
+    x_max: np.ndarray
+    full_input: Callable[[np.ndarray], np.ndarray]
 
 
 def reactor_reward(state, setpoint) -> float:
@@ -180,6 +209,27 @@ class ReactorEnv(ProcessEnv):
 
     def _draw_initial_state(self, rng: np.random.Generator) -> np.ndarray:
         return self.init_box.sample(rng)
+
+    def steady_state_problem(self) -> SteadyStateProblem:
+        """Maximize the production rate over coolant temperatures, with
+        q_out pinned to ``params.q_in`` and the state inside its box."""
+        q_in = self.params.q_in
+
+        def full_input(u_coolant):
+            return np.concatenate([[q_in], np.atleast_1d(u_coolant)])
+
+        return SteadyStateProblem(
+            system=OdeSystem(
+                dim=3, rhs=lambda t, x, u: self.system.rhs(t, x, full_input(u))
+            ),
+            stage_value=lambda x, u: float(production_rate(x, self.params)),
+            u_min=self.action_space.low[1:],
+            u_max=self.action_space.high[1:],
+            x_guess=self.x_star,
+            x_min=self.state_box.low,
+            x_max=self.state_box.high,
+            full_input=full_input,
+        )
 
     def _advance(self, state, action):
         h = self.control_minutes / self.n_substeps

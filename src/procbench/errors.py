@@ -19,6 +19,11 @@ class NonFiniteStateError(SimulationError):
     """An integrator or model produced NaN/inf components."""
 
 
+class StiffnessError(SimulationError):
+    """An integrator needed a step size below its floor, or more substeps
+    than its cap, on a finite state."""
+
+
 class DegenerateLevelError(SimulationError):
     """Reactor level dropped below the model's validity floor."""
 

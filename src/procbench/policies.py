@@ -33,7 +33,7 @@ from .control import (
 from .envs.atropine import AtropineEnv
 from .envs.mab.env import IDX_V_ELU, IDX_V_POL, MabEnv
 from .envs.mab.upstream import economic_objective, upstream_system
-from .envs.reactor import ReactorEnv
+from .envs.reactor import ReactorEnv, production_rate
 
 
 class Policy:
@@ -156,19 +156,10 @@ def reactor_mpc_spec(env: ReactorEnv, horizon: int = 20) -> MpcSpec:
 
 def reactor_empc_spec(env: ReactorEnv, horizon: int = 20) -> EmpcSpec:
     """Economic stage: product formation rate (reaction rate times volume)."""
-    p = env.params
-    area = p.cross_section
-
-    def stage_value(states, inputs):
-        c_a = states[..., 0]
-        temp = states[..., 1]
-        h = states[..., 2]
-        return p.k_0 * np.exp(-p.e_over_r / temp) * c_a * area * h
-
     return EmpcSpec(
         horizon=horizon,
         dt=env.control_minutes,
-        stage_value=stage_value,
+        stage_value=lambda states, inputs: production_rate(states, env.params),
         u_min=env.action_space.low,
         u_max=env.action_space.high,
         x_min=env.state_box.low,
@@ -252,7 +243,7 @@ def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
     Predicts with the 17-state upstream model only; the two downstream pump
     velocities are held at mid-range by the wrapper below.
     """
-    system = upstream_system(env.params, strict=False)
+    system = upstream_system(env.params)
     u_lo = env.action_space.low[:7]
     u_hi = env.action_space.high[:7]
     if economic:

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from procbench.envs.atropine import (
-    A_MATRIX,
     AtropineEnv,
-    B_MATRIX,
-    C_MATRIX,
-    K_GAIN,
     LinearPlantModel,
     Q_STEADY,
     Y_STEADY,

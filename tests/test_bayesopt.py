@@ -10,7 +10,6 @@ import procbench.bayesopt as bo
 from procbench.bayesopt import (
     BoState,
     FitOptions,
-    GpModel,
     bo_propose,
     expected_improvement,
     fit_gp,

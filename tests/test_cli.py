@@ -5,13 +5,13 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import procbench.cli
 import procbench.errors
 from procbench.cli import main
 from procbench.dataset import read_dataset, stats
+from procbench.envs import make_env
 
 
 def run_cli(*args):
@@ -98,18 +98,34 @@ def test_steady_state_reactor_in_process(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual_norm"] <= 1e-10
     assert len(payload["x_star"]) == 3 and len(payload["u_star"]) == 2
+    env = make_env("reactor")
+    assert payload["u_star"][0] == env.params.q_in  # balanced flows
+    assert env.state_box.contains(payload["x_star"])
 
 
-def test_steady_state_atropine_in_process(capsys):
-    code = main(["steady-state", "--env", "atropine"])
+def test_steady_state_problem_uses_the_configured_inflow(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"reactor": {"params": {"q_in": 0.12}, "nominal_inputs": [0.12, 295.0]}}
+    ))
+    code = main(["steady-state", "--env", "reactor", "--seed", "1",
+                 "--config", str(cfg)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["residual_norm"] <= 1e-9
-    assert len(payload["u_star"]) == 4
+    assert payload["u_star"][0] == 0.12
+    assert payload["residual_norm"] <= 1e-10
 
 
-def test_steady_state_beer_is_usage_error(capsys):
-    assert main(["steady-state", "--env", "beer"]) == 2
+@pytest.mark.parametrize("env", ["atropine", "beer", "mab", "pensim"])
+def test_steady_state_non_reactor_env_is_usage_error(env, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["steady-state", "--env", env])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("procbench steady-state: error: ")
+    assert f"invalid choice: {env!r}" in captured.err
 
 
 def test_config_file_override(tmp_path, capsys):

@@ -7,8 +7,6 @@ import pytest
 
 import procbench.dataset as dataset_module
 from procbench.dataset import (
-    Dataset,
-    DatasetMeta,
     DatasetRecorder,
     _row_template,
     episode_slices,

@@ -23,9 +23,8 @@ from procbench.envs.mab.columns import (
     grm_loading_rhs,
     integrate_fields,
     loop_rhs,
-    transport_operator,
 )
-from procbench.errors import NonFiniteStateError, ZeroModifierError
+from procbench.errors import StiffnessError, ZeroModifierError
 from procbench.kernels import SpatialGrid
 
 
@@ -655,6 +654,6 @@ def test_exchange_stepper_fails_a_step_that_needs_too_many_substeps():
     z = np.zeros(grid.n_axial)
     cs = np.full(grid.n_axial, 0.5)
     assert 1.0 / stepper.max_substep(z, z, cs, 0.02, 0.1) > MAX_EXCHANGE_SUBSTEPS
-    with pytest.raises(NonFiniteStateError, match="substeps"):
+    with pytest.raises(StiffnessError, match="substeps"):
         stepper.advance(z, z, cs, 2.0, 0.02, 0.1, 1.0)
     assert stepper._ops == {}  # failed before building any operator

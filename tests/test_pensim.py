@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import procbench.envs.pensim as pensim_module
 from procbench.envs.pensim import (
     N_STATES,
     PenRates,
@@ -11,7 +12,8 @@ from procbench.envs.pensim import (
     pensim_reward,
     pensim_rhs,
 )
-from procbench.errors import DegenerateVolumeError
+from procbench.errors import DegenerateVolumeError, StiffnessError
+from procbench.kernels import PI_FACTOR_MAX
 
 
 def zero_rates(**overrides):
@@ -137,6 +139,20 @@ def test_failing_rhs_fails_the_step_after_bounded_work(fault):
     assert r.reward == env.error_reward
     assert np.array_equal(r.observation, obs_before)
     assert calls <= {"nan": 7, "degenerate_volume": 1, "stiff": 200}[fault]
+
+
+def test_step_size_floor_raises_stiffness_error(monkeypatch):
+    """With the floor at PI_FACTOR_MAX * step_hours, every step size the
+    controller can reach after its first trial step (a quarter hour) lies
+    below it: the real model trips the floor on a finite state."""
+    monkeypatch.setattr(pensim_module, "H_MIN_FRACTION", PI_FACTOR_MAX)
+    env = PenSimEnv()
+    env.reset(seed=0)
+    action = np.array([0.1, 0.01, 0.005, 0.005, 0.01, 0.03])
+    with pytest.raises(StiffnessError, match="step size"):
+        env._advance(env.state, action)
+    r = env.step(action)
+    assert r.failure and r.terminal and r.reward == env.error_reward
 
 
 def test_advance_is_a_pure_function_of_state_and_action():
