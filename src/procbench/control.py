@@ -4,17 +4,19 @@ PID with clamp anti-windup, setpoint-tracking and economic model predictive
 control transcribed by direct single shooting with piecewise-constant
 inputs, and a multi-start steady-state economic optimizer.
 
-The shooting solver works on input sequences scaled to the unit box, with
-batched Armijo backtracking over twelve step lengths per iteration.  Each
-iteration runs one batched simulation of the sequence and one forward
-finite-difference bump per input entry, so the model must be a vectorized
-``OdeSystem``.  The tracking cost is the squared sum of a residual vector
-(weighted state errors, input errors and soft box violations); the same
-batch gives its Jacobian, and the search direction is a projected
-Gauss-Newton step on the inputs not held at a bound (Bertsekas, "Projected
-Newton methods for optimization problems with simple constraints", 1982),
-with the projected gradient as fallback.  The economic cost has no
-residuals and takes projected-gradient steps.
+One solver, ``solve_projected``, serves every MPC controller.  It works on
+input sequences scaled to the unit box, with batched Armijo backtracking
+over twelve step lengths per iteration, and takes any batched cost: each
+iteration evaluates the sequence and one forward finite-difference bump per
+input entry in one call.  ``solve_mpc`` and ``solve_empc`` build that cost
+from rollouts of a vectorized ``OdeSystem``.  The tracking cost is the
+squared sum of a residual vector (weighted state errors, input errors and
+soft box violations); the same batch gives its Jacobian, and the search
+direction is a projected Gauss-Newton step on the inputs not held at a
+bound (Bertsekas, "Projected Newton methods for optimization problems with
+simple constraints", 1982), with the projected gradient as fallback.  A
+cost without residuals, such as the economic one, takes projected-gradient
+steps.
 """
 
 from __future__ import annotations
@@ -306,15 +308,20 @@ _ARMIJO_C = 1e-4
 _ALPHAS = 0.5 ** np.arange(12)
 
 
-def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None):
+def solve_projected(cost_batch, u_init, u_min, u_max, *, max_iterations: int,
+                    grad_tol: float, fd_step: float,
+                    residual_batch=None) -> MpcSolution:
     """Projected descent with batched Armijo backtracking, unit-box scaled.
 
-    With ``residual_batch`` (a cost that is the squared sum of residuals)
-    each iteration first tries the Gauss-Newton direction, accepting a
-    point of the projected arc clip(z + alpha d) on sufficient decrease
-    against the gradient; when no candidate passes, or the Jacobian is not
-    finite, it falls back to the projected-gradient step.  Without it the
-    direction is the negative forward-difference gradient.
+    ``cost_batch`` maps input sequences of shape (..., N, m) to their costs;
+    ``fd_step`` is the forward-difference bump and ``grad_tol`` the bound on
+    the projected step, both in unit-box coordinates.  With
+    ``residual_batch`` (a cost that is the squared sum of residuals) each
+    iteration first tries the Gauss-Newton direction, accepting a point of
+    the projected arc clip(z + alpha d) on sufficient decrease against the
+    gradient; when no candidate passes, or the Jacobian is not finite, it
+    falls back to the projected-gradient step.  Without it the direction is
+    the negative forward-difference gradient.
     """
     n, m = u_init.shape
     scale = np.maximum(u_max - u_min, 1e-12)
@@ -324,7 +331,7 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
     def to_u(zz):
         return lo + zz * scale
 
-    steps = np.full((n, m), spec.fd_step)
+    steps = np.full((n, m), fd_step)
 
     def scaled_cost_batch(z_batch):
         return cost_batch(to_u(z_batch))
@@ -343,10 +350,10 @@ def _solve_projected(cost_batch, u_init, u_min, u_max, spec, residual_batch=None
     iterations = 0
     cost, grad, model = linearize(z)
     trace.append(float(cost))
-    while iterations < spec.max_iterations:
+    while iterations < max_iterations:
         iterations += 1
         projected_step = z - np.clip(z - grad, 0.0, 1.0)
-        if np.max(np.abs(projected_step)) <= spec.grad_tol:
+        if np.max(np.abs(projected_step)) <= grad_tol:
             break
         accepted = None
         if model is not None:
@@ -404,7 +411,9 @@ def solve_mpc(spec: MpcSpec, sys: OdeSystem, x0, warm=None) -> MpcSolution:
     u_init = _warm_or(u_init, warm, spec.horizon, m)
     cost_batch = lambda ub: _tracking_cost_batch(spec, sys, x0, ub)
     residual_batch = lambda ub: _tracking_residual_batch(spec, sys, x0, ub)
-    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec, residual_batch)
+    return solve_projected(cost_batch, u_init, spec.u_min, spec.u_max,
+                           max_iterations=spec.max_iterations, grad_tol=spec.grad_tol,
+                           fd_step=spec.fd_step, residual_batch=residual_batch)
 
 
 def solve_empc(spec: EmpcSpec, sys: OdeSystem, x0, warm=None) -> MpcSolution:
@@ -414,7 +423,9 @@ def solve_empc(spec: EmpcSpec, sys: OdeSystem, x0, warm=None) -> MpcSolution:
     u_init = np.tile(0.5 * (spec.u_min + spec.u_max), (spec.horizon, 1))
     u_init = _warm_or(u_init, warm, spec.horizon, m)
     cost_batch = lambda ub: _economic_cost_batch(spec, sys, x0, ub)
-    return _solve_projected(cost_batch, u_init, spec.u_min, spec.u_max, spec)
+    return solve_projected(cost_batch, u_init, spec.u_min, spec.u_max,
+                           max_iterations=spec.max_iterations, grad_tol=spec.grad_tol,
+                           fd_step=spec.fd_step)
 
 
 # -- steady-state economic optimization ---------------------------------------

@@ -4,16 +4,20 @@ A policy maps observations to actions, holding whatever controller state it
 needs (PID integrals, MPC warm starts).  ``make_policy`` wires the supported
 env/controller pairs:
 
-    reactor:  zero, random, pid, mpc, empc
+    reactor:  random, pid, mpc, empc
     atropine: zero, random, mpc
     pensim:   zero, random, bo (episode-level, see the dataset runner)
-    mab:      zero, random, mpc, empc
-    beer:     zero, random
+    mab:      random, mpc, empc
+    beer:     random
 
-The shooting controllers predict with each environment's own model and
-share the solver in ``control``.  The atropine controller predicts with its
-identified discrete-time model and runs its own copy of a projected-gradient
-loop; it does not use the shared solver.
+``zero`` is offered only where the action box contains the zero vector.
+
+Every MPC controller runs the one projected solver in ``control``.  The
+reactor and mab controllers are ``ShootingPolicy`` instances that predict
+with the plant's own ``OdeSystem``.  The atropine controller predicts with
+its identified discrete-time model and hands the solver its exact linear
+rollouts; its projected-gradient steps stall at the first iteration of
+every solve, so it holds the steady flows.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from .control import (
     MpcSpec,
     PidGains,
     PidState,
+    _warm_or,
     pid_step,
     solve_empc,
     solve_mpc,
+    solve_projected,
 )
 from .envs.atropine import AtropineEnv
-from .envs.mab.env import IDX_V_ELU, IDX_V_POL, MabEnv
+from .envs.mab.env import MabEnv
 from .envs.mab.upstream import economic_objective, upstream_system
 from .envs.reactor import ReactorEnv, production_rate
 
@@ -49,6 +55,11 @@ class Policy:
 class ZeroPolicy(Policy):
     def __init__(self, env):
         self._dim = env.action_space.dim
+        if not env.action_space.contains(np.zeros(self._dim)):
+            raise ValueError(
+                f"unsupported env/controller pair: {env.name}/zero "
+                "(the zero action lies outside the action box)"
+            )
 
     def act(self, observation):
         return np.zeros(self._dim)
@@ -113,13 +124,18 @@ class ReactorPidPolicy(Policy):
 
 
 class ShootingPolicy(Policy):
-    """Receding-horizon policy around solve_mpc/solve_empc with warm starts."""
+    """Receding-horizon policy around solve_mpc/solve_empc with warm starts.
 
-    def __init__(self, spec, system, economic: bool, observe_to_state):
+    An ``EmpcSpec`` makes it economic, an ``MpcSpec`` tracking.
+    ``to_action`` maps the solved first input to the full action when the
+    spec covers only part of it.
+    """
+
+    def __init__(self, spec, system, observe_to_state, to_action=None):
         self.spec = spec
         self.system = system
-        self.economic = economic
         self.observe_to_state = observe_to_state
+        self.to_action = to_action
         self._warm = None
         self.last_solution: MpcSolution | None = None
 
@@ -128,11 +144,11 @@ class ShootingPolicy(Policy):
 
     def act(self, observation):
         x0 = self.observe_to_state(observation)
-        solver = solve_empc if self.economic else solve_mpc
+        solver = solve_empc if isinstance(self.spec, EmpcSpec) else solve_mpc
         sol = solver(self.spec, self.system, x0, warm=self._warm)
         self._warm = sol.u_sequence
         self.last_solution = sol
-        return sol.u0
+        return sol.u0 if self.to_action is None else self.to_action(sol.u0)
 
 
 def reactor_mpc_spec(env: ReactorEnv, horizon: int = 20) -> MpcSpec:
@@ -173,10 +189,9 @@ def reactor_empc_spec(env: ReactorEnv, horizon: int = 20) -> EmpcSpec:
 class AtropineMpcPolicy(Policy):
     """Output tracking on the identified deviation model.
 
-    A private projected-gradient loop, separate from the shared shooting
-    solver in ``control``: forward-difference gradients over exact linear
-    rollouts of the discrete model, ten halving step lengths, at most 80
-    iterations.
+    The shared projected solver minimizes the cost of exact linear rollouts
+    of the discrete model, starting from the steady flows or the shifted
+    previous solution.
     """
 
     def __init__(self, env: AtropineEnv, horizon: int = 20,
@@ -186,6 +201,7 @@ class AtropineMpcPolicy(Policy):
         self.output_weight = output_weight
         self.input_weight = input_weight
         self._warm = None
+        self.last_solution: MpcSolution | None = None
 
     def reset(self, seed):
         self._warm = None
@@ -207,41 +223,27 @@ class AtropineMpcPolicy(Policy):
 
     def act(self, observation):
         x_hat = observation[:2]
-        lo = self.env.action_space.low
-        hi = self.env.action_space.high
-        n, m = self.horizon, lo.size
-        u = self._warm if self._warm is not None else np.tile(self.env.q_steady, (n, 1))
-        # projected gradient with exact linear rollouts
-        scale = hi - lo
-        z = np.clip((u - lo) / scale, 0.0, 1.0)
-        cost = self._cost_batch(x_hat, lo + z * scale)
-        for _ in range(80):
-            flat = z.ravel()
-            batch = np.tile(flat, (n * m + 1, 1))
-            batch[1:] += np.eye(n * m) * 1e-7
-            costs = self._cost_batch(x_hat, lo + batch.reshape(-1, n, m) * scale)
-            grad = ((costs[1:] - costs[0]) / 1e-7).reshape(n, m)
-            step = z - np.clip(z - grad, 0.0, 1.0)
-            if np.max(np.abs(step)) <= 1e-6:
-                break
-            alphas = 1.0 * 0.5 ** np.arange(10)
-            cands = np.clip(z[None] - alphas[:, None, None] * grad[None], 0.0, 1.0)
-            cand_costs = self._cost_batch(x_hat, lo + cands * scale)
-            improved = cand_costs < costs[0] - 1e-12
-            if not np.any(improved):
-                break
-            z = cands[int(np.argmax(improved))]
-        u = lo + z * scale
-        self._warm = np.vstack([u[1:], u[-1:]])
-        return u[0]
+        space = self.env.action_space
+        u_init = np.tile(self.env.q_steady, (self.horizon, 1))
+        u_init = _warm_or(u_init, self._warm, self.horizon, space.dim)
+        sol = solve_projected(
+            lambda u_batch: self._cost_batch(x_hat, u_batch),
+            u_init, space.low, space.high,
+            max_iterations=80, grad_tol=1e-6, fd_step=1e-7,
+        )
+        self._warm = sol.u_sequence
+        self.last_solution = sol
+        return sol.u0
 
 
 def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
                    setpoint: tuple | None = None) -> ShootingPolicy:
     """Upstream-model shooting controller for the integrated plant.
 
-    Predicts with the 17-state upstream model only; the two downstream pump
-    velocities are held at mid-range by the wrapper below.
+    Predicts with the 17-state upstream model only and solves for the seven
+    upstream inputs; the two downstream pump velocities are held at 2 cm/min.
+    The tracking controller's default setpoint is the initial upstream state
+    under a balanced feed.
     """
     system = upstream_system(env.params)
     u_lo = env.action_space.low[:7]
@@ -249,14 +251,15 @@ def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
     if economic:
         spec = EmpcSpec(
             horizon=horizon, dt=60.0,
-            stage_value=lambda X, U: economic_objective(X, U),
+            stage_value=economic_objective,
             u_min=u_lo, u_max=u_hi,
             x_min=env.upstream_box.low, x_max=env.upstream_box.high,
             n_substeps=4, max_iterations=25, grad_tol=1e-4,
         )
     else:
         if setpoint is None:
-            raise ValueError("tracking controller needs a setpoint")
+            setpoint = (env.initial_upstream,
+                        np.array([0.05, 0.1, 0.15, 0.05, 36.5, 50.0, 0.0]))
         x_s, u_s = setpoint
         scale = np.where(np.abs(x_s) > 1e-9, np.abs(x_s), 1.0)
         spec = MpcSpec(
@@ -268,27 +271,9 @@ def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
             x_min=env.upstream_box.low, x_max=env.upstream_box.high,
             n_substeps=4, max_iterations=25, grad_tol=1e-4,
         )
-    return ShootingPolicy(spec, system, economic, lambda obs: obs[:17])
-
-
-class MabPolicy(Policy):
-    """Wraps the upstream shooting controller, holding pump velocities."""
-
-    def __init__(self, env: MabEnv, economic: bool, horizon: int = 100,
-                 setpoint: tuple | None = None, pump_velocities=(2.0, 2.0)):
-        self.inner = mab_mpc_policy(env, horizon=horizon, economic=economic,
-                                    setpoint=setpoint)
-        self.pumps = np.asarray(pump_velocities, float)
-
-    def reset(self, seed):
-        self.inner.reset(seed)
-
-    def act(self, observation):
-        u7 = self.inner.act(observation)
-        action = np.empty(9)
-        action[:7] = u7
-        action[IDX_V_ELU], action[IDX_V_POL] = self.pumps
-        return action
+    pumps = np.array([2.0, 2.0])
+    return ShootingPolicy(spec, system, lambda obs: obs[:17],
+                          to_action=lambda u7: np.concatenate([u7, pumps]))
 
 
 def make_policy(env, controller: str, options: dict | None = None) -> Policy:
@@ -303,20 +288,14 @@ def make_policy(env, controller: str, options: dict | None = None) -> Policy:
             return ReactorPidPolicy(env, options.get("gains"))
         if controller == "mpc":
             spec = reactor_mpc_spec(env, horizon=options.get("horizon", 20))
-            return ShootingPolicy(spec, env.system, False, lambda obs: obs)
+            return ShootingPolicy(spec, env.system, lambda obs: obs)
         if controller == "empc":
             spec = reactor_empc_spec(env, horizon=options.get("horizon", 20))
-            return ShootingPolicy(spec, env.system, True, lambda obs: obs)
+            return ShootingPolicy(spec, env.system, lambda obs: obs)
     if name == "atropine" and controller == "mpc":
         return AtropineMpcPolicy(env, horizon=options.get("horizon", 20))
     if name == "mab" and controller in ("mpc", "empc"):
-        if controller == "mpc":
-            setpoint = options.get("setpoint")
-            if setpoint is None:
-                x0 = env.initial_upstream
-                u7 = np.array([0.05, 0.1, 0.15, 0.05, 36.5, 50.0, 0.0])
-                setpoint = (x0, u7)
-            return MabPolicy(env, economic=False,
-                             horizon=options.get("horizon", 100), setpoint=setpoint)
-        return MabPolicy(env, economic=True, horizon=options.get("horizon", 100))
+        return mab_mpc_policy(env, horizon=options.get("horizon", 100),
+                              economic=controller == "empc",
+                              setpoint=options.get("setpoint"))
     raise ValueError(f"unsupported env/controller pair: {name}/{controller}")

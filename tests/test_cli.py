@@ -24,15 +24,24 @@ def run_cli(*args):
 
 
 def test_rollout_stdout_is_deterministic_and_json():
-    code1, out1, _ = run_cli("rollout", "--env", "reactor", "--controller",
+    code1, out1, _ = run_cli("rollout", "--env", "atropine", "--controller",
                              "zero", "--episodes", "1", "--seed", "7")
-    code2, out2, _ = run_cli("rollout", "--env", "reactor", "--controller",
+    code2, out2, _ = run_cli("rollout", "--env", "atropine", "--controller",
                              "zero", "--episodes", "1", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
-    assert report["env"] == "reactor"
-    assert report["results"][0]["failure"] is True  # zero coolant is off-spec
+    assert report["env"] == "atropine"
+    assert report["results"][0]["steps"] == 60  # zero flows stay in the box
+
+
+def test_rollout_zero_outside_the_action_box_exits_1():
+    code, out, err = run_cli("rollout", "--env", "reactor", "--controller",
+                             "zero", "--episodes", "1", "--seed", "7")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ValueError: unsupported env/controller pair: reactor/zero")
 
 
 def test_dataset_then_stats_pipeline(tmp_path):

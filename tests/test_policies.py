@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+from procbench.control import MpcSolution
 from procbench.envs import make_env
 from procbench.policies import make_policy
 from procbench.runners import rollout
 
+MAB_TEST_GRIDS = {
+    "grids": {"capture_axial": 8, "capture_radial": 3,
+              "loop_axial": 6, "polish_axial": 5},
+}
+
 
 def test_zero_and_random_policies():
-    env = make_env("beer")
+    env = make_env("atropine")
     zero = make_policy(env, "zero")
-    assert np.array_equal(zero.act(env.reset(seed=0)), np.zeros(1))
+    assert np.array_equal(zero.act(env.reset(seed=0)), np.zeros(4))
     rand = make_policy(env, "random")
     rand.reset(3)
     a1 = rand.act(None)
@@ -25,6 +31,35 @@ def test_unsupported_pair_raises():
     env = make_env("beer")
     with pytest.raises(ValueError):
         make_policy(env, "mpc")
+
+
+@pytest.mark.parametrize("env_name", ["reactor", "beer", "mab"])
+def test_zero_is_unsupported_where_the_box_excludes_zero(env_name):
+    env = make_env(env_name, MAB_TEST_GRIDS if env_name == "mab" else None)
+    assert not env.action_space.contains(np.zeros(env.action_space.dim))
+    with pytest.raises(ValueError, match="zero"):
+        make_policy(env, "zero")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("env_name, controller, options", [
+    ("reactor", "mpc", None),
+    ("reactor", "empc", None),
+    ("atropine", "mpc", None),
+    ("mab", "mpc", {"horizon": 4}),
+    ("mab", "empc", {"horizon": 4}),
+])
+def test_every_mpc_pair_reports_its_solution(env_name, controller, options):
+    env = make_env(env_name, MAB_TEST_GRIDS if env_name == "mab" else None)
+    policy = make_policy(env, controller, options)
+    obs = env.reset(seed=0)
+    policy.reset(0)
+    action = policy.act(obs)
+    sol = policy.last_solution
+    assert isinstance(sol, MpcSolution)
+    assert sol.iterations >= 1
+    assert len(sol.cost_trace) > 0
+    assert env.action_space.contains(action)
 
 
 def test_reactor_pid_regulates_level_and_conversion():
@@ -71,11 +106,7 @@ def test_reactor_empc_runaway_start_stalls_quietly():
 
 @pytest.mark.filterwarnings("error")
 def test_mab_policies_produce_valid_actions():
-    cfg = {
-        "grids": {"capture_axial": 8, "capture_radial": 3,
-                  "loop_axial": 6, "polish_axial": 5},
-    }
-    env = make_env("mab", cfg)
+    env = make_env("mab", MAB_TEST_GRIDS)
     obs = env.reset(seed=0)
     for name in ("mpc", "empc"):
         policy = make_policy(env, name, {"horizon": 4})
