@@ -167,7 +167,7 @@ class DatasetRecorder:
                 terminals[i] = term
                 timeouts[i] = tout
                 i += 1
-        mean, std, _ = _stats_arrays(rewards) if n else (0.0, 0.0, 0.0)
+        mean, std = _stats_arrays(rewards) if n else (0.0, 0.0)
         meta = DatasetMeta(
             env=self.env_name,
             baseline=self.baseline,
@@ -186,7 +186,7 @@ class DatasetRecorder:
 def _stats_arrays(rewards: np.ndarray):
     mean = float(np.mean(rewards))
     std = float(np.sqrt(np.mean((rewards - mean) ** 2)))  # population std
-    return mean, std, None
+    return mean, std
 
 
 def stats(ds: Dataset) -> tuple[float, float, float]:
@@ -198,7 +198,7 @@ def stats(ds: Dataset) -> tuple[float, float, float]:
     """
     if ds.n_rows == 0:
         raise EmptyDatasetError("dataset has no rows")
-    mean, std, _ = _stats_arrays(ds.rewards)
+    mean, std = _stats_arrays(ds.rewards)
     closing = ds.terminals | ds.timeouts
     failures = np.sum(
         ds.terminals[closing] & (ds.rewards[closing] == ds.meta.error_reward)
@@ -329,18 +329,3 @@ def read_dataset(path: str) -> Dataset:
         terminals=np.asarray(terminals, dtype=bool),
         timeouts=np.asarray(timeouts, dtype=bool),
     )
-
-
-def episode_slices(ds: Dataset) -> list[slice]:
-    """Row ranges of each episode; closing rows must partition the table."""
-    slices = []
-    start = 0
-    for i in range(ds.n_rows):
-        if ds.terminals[i] or ds.timeouts[i] or (
-            i + 1 < ds.n_rows and ds.episode_ids[i + 1] != ds.episode_ids[i]
-        ):
-            slices.append(slice(start, i + 1))
-            start = i + 1
-    if start != ds.n_rows:
-        slices.append(slice(start, ds.n_rows))
-    return slices

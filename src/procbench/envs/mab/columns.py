@@ -33,8 +33,7 @@ the linear adsorption and desorption applied exactly and only the
 salt-modulated remainder of the isotherm explicit, one substep per slice at
 the env's operating point.  ``exchange_rhs`` and ``loop_rhs`` are their
 reference right-hand sides, and ``etd2_operators`` builds the ETD2RK
-operators of both ETD steppers.  ``integrate_fields`` (RK4) is left to the
-bioreactor.
+operators of both ETD steppers.
 
 Unit conventions follow the parameter tables: lengths cm, volumes mL,
 velocities cm/min, concentrations mg/mL, modifier M.
@@ -636,64 +635,3 @@ class ExchangeStepper:
         n = self.grid.n_axial
         return u[:n].copy(), u[n:].copy(), c_s
 
-
-# -- adaptive positive-preserving integration -------------------------------
-
-
-def integrate_fields(
-    deriv,
-    fields: list[np.ndarray],
-    dt: float,
-    h_start: float,
-    floors: list[float] | None = None,
-    max_halvings: int = 10,
-):
-    """Advance coupled fields by RK4 with a stability safety net.
-
-    ``h_start`` should come from a stability estimate of the stiffest term;
-    a candidate substep is rejected (and the substep halved, up to
-    ``max_halvings`` times) only when it produces non-finite values or grows
-    any field beyond ten times its previous scale, which is how an unstable
-    explicit step announces itself.  ``floors`` clamps each field from below
-    at every stage and accepted substep (0 keeps concentrations nonnegative;
-    a modifier field uses its recipe floor so the isotherm never sees a
-    vanishing salt level).  Accepted substeps let h grow back to ``h_start``.
-    """
-    if floors is None:
-        floors = [0.0] * len(fields)
-    y = [np.asarray(f, dtype=float).copy() for f in fields]
-    t = 0.0
-    h = min(h_start, dt)
-
-    def clamped(arrs):
-        return [np.maximum(a, lo) for a, lo in zip(arrs, floors)]
-
-    while t < dt - 1e-12:
-        h_try = min(h, dt - t)
-        scales = [10.0 * (float(np.max(np.abs(a))) + 1.0) for a in y]
-        halvings = 0
-        while True:
-            k1 = deriv(y)
-            k2 = deriv(clamped([a + 0.5 * h_try * b for a, b in zip(y, k1)]))
-            k3 = deriv(clamped([a + 0.5 * h_try * b for a, b in zip(y, k2)]))
-            k4 = deriv(clamped([a + h_try * b for a, b in zip(y, k3)]))
-            cand = [
-                a + (h_try / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            ]
-            ok = all(
-                np.all(np.isfinite(arr)) and float(np.max(np.abs(arr))) <= cap
-                for arr, cap in zip(cand, scales)
-            )
-            if ok or halvings >= max_halvings:
-                break
-            h_try *= 0.5
-            h = h_try
-            halvings += 1
-        cand = clamped(cand)
-        if not all(np.all(np.isfinite(arr)) for arr in cand):
-            raise NonFiniteStateError("field integration diverged")
-        y = cand
-        t += h_try
-        h = min(h * 2.0, h_start)
-    return y

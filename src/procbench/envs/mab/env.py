@@ -24,8 +24,9 @@ advanced exactly (``TransportStepper``), the eluting capture column and the
 cation-exchange column by exponential time differencing with exact
 transport (``ExchangeStepper``); their operators are built once per control
 step, since the pump velocities are fixed within it.  The bioreactor
-advances with a stability-limited positive-preserving RK4 step
-(``integrate_fields``), which is most of the cost of a step.
+advances by ``upstream.integrate_fields``, stability-limited RK4 substeps
+of ``kernels.rk4_step`` that keep its states nonnegative; it is most of the
+cost of a step.
 Unit-level mass audits are exact (see the column kernels); the splitting
 only affects the coupling resolution.
 """
@@ -48,7 +49,6 @@ from .columns import (
     aex_params,
     capture_elution_params,
     cex_params,
-    integrate_fields,
 )
 from .schedule import TwinColumnSchedule, twin_column_tick
 from .upstream import (
@@ -56,7 +56,9 @@ from .upstream import (
     N_STATES,
     UpstreamParams,
     economic_objective,
-    upstream_rhs,
+    integrate_fields,
+    upstream_h0,
+    upstream_system,
 )
 
 
@@ -64,7 +66,6 @@ from .upstream import (
 class ColumnState:
     """One capture column; carries both mode field sets (inactive one zero)."""
 
-    mode: str                 # "loading" or "purify"
     c: np.ndarray             # mobile phase during loading (nz,)
     c_p: np.ndarray           # pore liquid (nz, nr)
     q1: np.ndarray            # fast-site adsorbed (nz,)
@@ -208,10 +209,9 @@ class MabEnv(ProcessEnv):
 
     # -- state plumbing ----------------------------------------------------
 
-    def _blank_column(self, mode: str) -> ColumnState:
+    def _blank_column(self) -> ColumnState:
         nz, nr = self.cap_grid.n_axial, self.cap_grid.n_radial
         return ColumnState(
-            mode=mode,
             c=np.zeros(nz),
             c_p=np.zeros((nz, nr)),
             q1=np.zeros(nz),
@@ -225,7 +225,7 @@ class MabEnv(ProcessEnv):
         n_loop, n_pol = self.loop_grid.n_axial, self.pol_grid.n_axial
         return MabState(
             upstream=np.asarray(upstream, float).copy(),
-            columns=[self._blank_column("loading"), self._blank_column("purify")],
+            columns=[self._blank_column(), self._blank_column()],
             loop_vi=np.zeros(n_loop),
             cex_c=np.zeros(n_pol),
             cex_q=np.zeros(n_pol),
@@ -251,24 +251,6 @@ class MabEnv(ProcessEnv):
 
     # -- physics -----------------------------------------------------------
 
-    def _upstream_deriv(self, action7):
-        def deriv(fields):
-            return [upstream_rhs(fields[0], action7, self.params, strict=False)]
-        return deriv
-
-    def _upstream_h0(self, x: np.ndarray) -> float:
-        """Stability-limited substep for the nutrient-uptake stiffness.
-
-        Near depletion the Monod terms steepen to slope 1/K, so the fastest
-        local rate scales with mu_max * Xv / (K * yield)."""
-        p = self.params
-        xv = max(float(x[1]), 1.0)
-        mu_max = 0.0016 * float(x[8]) - 0.0308
-        lam = mu_max * xv * (
-            1.0 / (p.k_glc * p.y_x_glc) + 1.0 / (p.k_gln * p.y_x_gln)
-        ) + p.alpha1 * xv / p.alpha2 / p.k_gln
-        return 2.0 / max(lam, 2.0)
-
     def _advance(self, state: MabState, action) -> MabState:
         action = np.asarray(action, float)
         u7 = action[:N_INPUTS]
@@ -290,7 +272,7 @@ class MabEnv(ProcessEnv):
             schedule=state.schedule,
             product_mg=state.product_mg,
         )
-        up_deriv = self._upstream_deriv(u7)
+        upstream = upstream_system(self.params)
         q_elu = v_elu * self.capture.area          # mL/min through the elution train
         q_pol = v_pol * self.cex.area              # mL/min through the polish train
         v_loop_vi = q_elu / self.loop.area
@@ -299,8 +281,8 @@ class MabEnv(ProcessEnv):
         for _ in range(self.n_slices):
             # upstream slice
             s.upstream = integrate_fields(
-                up_deriv, [s.upstream], dt, self._upstream_h0(s.upstream)
-            )[0]
+                upstream, s.upstream, u7, dt, upstream_h0(s.upstream, self.params)
+            )
 
             # loading column fed by the separator harvest
             f_2 = u7[3]                            # L/min
@@ -351,7 +333,6 @@ class MabEnv(ProcessEnv):
         emptied column starts loading fresh."""
         old_loader = s.columns[1 - s.schedule.loading_column]
         new_loader = s.columns[s.schedule.loading_column]
-        old_loader.mode = "purify"
         old_loader.q_elu = np.minimum(old_loader.q1 + old_loader.q2, self.elu.q_max)
         old_loader.c_elu = old_loader.c.copy()
         old_loader.cs_elu = np.full(self.cap_grid.n_axial, self.cs_floor)
@@ -359,7 +340,6 @@ class MabEnv(ProcessEnv):
         old_loader.c_p = np.zeros_like(old_loader.c_p)
         old_loader.q1 = np.zeros_like(old_loader.q1)
         old_loader.q2 = np.zeros_like(old_loader.q2)
-        new_loader.mode = "loading"
         new_loader.c_elu = np.zeros_like(new_loader.c_elu)
         new_loader.q_elu = np.zeros_like(new_loader.q_elu)
         new_loader.cs_elu = np.full(self.cap_grid.n_axial, self.cs_floor)

@@ -9,20 +9,30 @@ through to the harvest stream that feeds the capture step.
 Inputs (7): fresh-media flow F_in, recycle flow F_r, bioreactor outflow F_1,
 harvest flow F_2, jacket temperature T_c, and the fresh-media glucose and
 ammonia concentrations.
+
+The env advances these states with ``integrate_fields``: classical RK4
+substeps by ``kernels.rk4_step`` on ``upstream_system``, starting from the
+stability-limited substep of ``upstream_h0``.  Each stage evaluates the
+balances at the state clamped at zero, and each accepted substep is clamped
+too, so integrator undershoot near nutrient depletion never reaches the
+rates.  A substep whose result is non-finite or exceeds ``GROWTH_CAP``
+times the state's scale, max|x| + 1, is halved, up to ``MAX_HALVINGS``
+times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ...errors import (
     DegenerateVolumeError,
+    NonFiniteStateError,
     TemperatureOutOfRangeError,
     ZeroRecycleFlowError,
 )
-from ...kernels import OdeSystem
+from ...kernels import OdeSystem, rk4_step
 
 N_STATES = 17
 N_INPUTS = 7
@@ -242,3 +252,54 @@ def upstream_system(p: UpstreamParams) -> OdeSystem:
         rhs=lambda t, x, u: upstream_rhs(x, u, p, strict=False),
         vectorized=True,
     )
+
+
+# A candidate substep larger than GROWTH_CAP * (max|x| + 1) is how an
+# unstable explicit step announces itself; it is halved up to MAX_HALVINGS
+# times before the driver accepts whatever it has.
+GROWTH_CAP = 10.0
+MAX_HALVINGS = 10
+
+
+def upstream_h0(x: np.ndarray, p: UpstreamParams) -> float:
+    """Stability-limited substep for the nutrient-uptake stiffness.
+
+    Near depletion the Monod terms steepen to slope 1/K, so the fastest
+    local rate scales with mu_max * Xv / (K * yield)."""
+    xv = max(float(x[1]), 1.0)
+    lam = float(mu_max_of_temp(x[8])) * xv * (
+        1.0 / (p.k_glc * p.y_x_glc) + 1.0 / (p.k_gln * p.y_x_gln)
+    ) + p.alpha1 * xv / p.alpha2 / p.k_gln
+    return 2.0 / max(lam, 2.0)
+
+
+def integrate_fields(
+    system: OdeSystem, x: np.ndarray, u: np.ndarray, dt: float, h_start: float
+) -> np.ndarray:
+    """Advance ``x`` over ``dt`` by RK4 substeps that never leave x >= 0.
+
+    Substeps start at ``h_start`` and grow back to it after a halving;
+    accepted substeps are clamped at zero.  Raises ``NonFiniteStateError``
+    when a substep stays non-finite after every halving.
+    """
+    floored = replace(system, rhs=lambda t, y, v: system.rhs(t, np.maximum(y, 0.0), v))
+    y = np.asarray(x, dtype=float)
+    t = 0.0
+    h = min(h_start, dt)
+    while t < dt - 1e-12:
+        h_try = min(h, dt - t)
+        cap = GROWTH_CAP * (float(np.max(np.abs(y))) + 1.0)
+        for halvings in range(MAX_HALVINGS + 1):
+            cand = rk4_step(floored, t, y, u, h_try, check=False)
+            if halvings == MAX_HALVINGS or (
+                np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) <= cap
+            ):
+                break
+            h_try *= 0.5
+            h = h_try
+        y = np.maximum(cand, 0.0)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteStateError("upstream integration diverged")
+        t += h_try
+        h = min(h * 2.0, h_start)
+    return y

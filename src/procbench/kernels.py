@@ -6,9 +6,10 @@ finite-difference Jacobians, and conservative 1-D stencils used by the
 method-of-lines transport models.
 
 The reactor, beer and the shooting rollouts step by fixed RK4
-(``rk4_step``/``integrate``).  Pensim steps by the embedded pair: its
-unrolled plain-float loop reads the tableau and ``pi_step_factor`` below, so
-they are defined once here.
+(``rk4_step``/``integrate``); the mab bioreactor steps by ``rk4_step`` too,
+under a step-halving, nonnegativity-keeping driver of its own.  Pensim
+steps by the embedded pair: its unrolled plain-float loop reads the tableau
+and ``pi_step_factor`` below, so they are defined once here.
 
 Everything in this module is a pure function of its arguments, so concurrent
 use from any number of workers is safe.

@@ -9,7 +9,6 @@ import procbench.dataset as dataset_module
 from procbench.dataset import (
     DatasetRecorder,
     _row_template,
-    episode_slices,
     read_dataset,
     stats,
     write_dataset,
@@ -192,17 +191,6 @@ def test_failure_episodes_lower_success_rate():
     assert success == 0.5
 
 
-def test_episode_slices_partition_rows():
-    ds = small_dataset()
-    slices = episode_slices(ds)
-    assert len(slices) == 3
-    covered = sum(sl.stop - sl.start for sl in slices)
-    assert covered == ds.n_rows
-    for sl in slices:
-        closing = ds.terminals[sl] | ds.timeouts[sl]
-        assert closing[-1] and not np.any(closing[:-1])
-
-
 def test_format_version_mismatch(tmp_path):
     ds = small_dataset()
     write_dataset(ds, tmp_path / "v")
@@ -264,8 +252,8 @@ def test_reactor_episode_rows_capped_at_100():
     from procbench.runners import generate_dataset
 
     ds = generate_dataset("reactor", "pid", 2, seed=0)
-    for sl in episode_slices(ds):
-        assert sl.stop - sl.start <= 100
+    rows = np.bincount(ds.episode_ids)
+    assert len(rows) == 2 and np.all(rows <= 100)
 
 
 def test_trajectory_record_invariants():

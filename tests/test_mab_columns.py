@@ -21,7 +21,6 @@ from procbench.envs.mab.columns import (
     etd2_operators,
     exchange_rhs,
     grm_loading_rhs,
-    integrate_fields,
     loop_rhs,
 )
 from procbench.errors import StiffnessError, ZeroModifierError
@@ -372,26 +371,6 @@ def test_elution_inert_modifier_transport_only():
     assert np.max(np.abs(dq)) == 0.0
     assert np.max(np.abs(dc)) == 0.0
     assert np.max(np.abs(dcs)) > 0.0
-
-
-def test_integrate_fields_survives_stiff_start():
-    decay = 1000.0
-
-    def deriv(fields):
-        return [-decay * fields[0]]
-
-    out = integrate_fields(deriv, [np.ones(4)], dt=0.1, h_start=0.05)[0]
-    assert np.all(np.isfinite(out))
-    assert np.max(out) < 1e-6  # fully decayed, no blow-up
-
-
-def test_integrate_fields_respects_floor():
-    def deriv(fields):
-        return [np.full(3, -5.0)]
-
-    out = integrate_fields(deriv, [np.full(3, 0.02)], dt=1.0, h_start=0.1,
-                           floors=[0.01])[0]
-    assert np.all(out >= 0.01)
 
 
 def test_named_elution_and_aex_wrappers():
