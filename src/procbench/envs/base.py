@@ -12,7 +12,7 @@ is not a failure).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -52,9 +52,11 @@ def validate_episode_config(cfg: EpisodeConfig, r_min: float) -> bool:
 def deep_merge(base: dict, override: dict | None) -> dict:
     """Recursively merge ``override`` into a deep copy of ``base``.
 
-    Keys absent from ``base`` are rejected, except below a default that is
-    an empty dict: those sub-configs are free-form (their keys belong to a
-    pluggable component, which validates them itself).
+    Keys absent from ``base`` raise ``KeyError``, except below a default
+    that is an empty dict: such a sub-config overrides defaults held outside
+    the config (a kinetics dict or a parameter dataclass), and the env that
+    applies it rejects its unknown keys through ``deep_merge`` or
+    ``replace_fields``.
     """
     merged = copy.deepcopy(base)
     for key, value in (override or {}).items():
@@ -65,6 +67,17 @@ def deep_merge(base: dict, override: dict | None) -> dict:
         else:
             merged[key] = value
     return merged
+
+
+def replace_fields(section: str, params, overrides: dict):
+    """``dataclasses.replace(params, **overrides)``; a key that names no
+    field of ``params`` raises ``KeyError`` naming it and ``section``, the
+    sub-config it came from."""
+    known = {f.name for f in fields(params)}
+    for key in overrides:
+        if key not in known:
+            raise KeyError(f"unknown config key: {key!r} under {section!r}")
+    return replace(params, **overrides)
 
 
 def require_positive(key: str, value):

@@ -138,7 +138,7 @@ class BeerEnv(ProcessEnv):
 
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
-        self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
+        self.kinetics_params = deep_merge(DEMO_KINETICS, cfg["kinetics_params"])
         self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
         self.n_substeps = require_positive("n_substeps", int(cfg["n_substeps"]))
         self.s_target = float(cfg["s_target"])

@@ -39,7 +39,7 @@ import numpy as np
 
 from ...kernels import SpatialGrid
 from ...spaces import ContinuousSpace
-from ..base import ProcessEnv, deep_merge, require_positive
+from ..base import ProcessEnv, deep_merge, replace_fields, require_positive
 from .columns import (
     CaptureParams,
     ExchangeStepper,
@@ -142,12 +142,14 @@ class MabEnv(ProcessEnv):
 
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
-        self.params = UpstreamParams(**cfg["params"])
-        self.capture = CaptureParams(**cfg["capture"])
-        self.elu = replace(capture_elution_params(self.capture), **cfg["elution"])
-        self.cex = replace(cex_params(), **cfg["cex"])
-        self.aex = replace(aex_params(), **cfg["aex"])
-        self.loop = replace(LoopParams(), **cfg["loop"])
+        self.params = replace_fields("params", UpstreamParams(), cfg["params"])
+        self.capture = replace_fields("capture", CaptureParams(), cfg["capture"])
+        self.elu = replace_fields(
+            "elution", capture_elution_params(self.capture), cfg["elution"]
+        )
+        self.cex = replace_fields("cex", cex_params(), cfg["cex"])
+        self.aex = replace_fields("aex", aex_params(), cfg["aex"])
+        self.loop = replace_fields("loop", LoopParams(), cfg["loop"])
         g = cfg["grids"]
         self.cap_grid = SpatialGrid(
             int(g["capture_axial"]), self.capture.length,

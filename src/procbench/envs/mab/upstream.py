@@ -26,12 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ...errors import (
-    DegenerateVolumeError,
-    NonFiniteStateError,
-    TemperatureOutOfRangeError,
-    ZeroRecycleFlowError,
-)
+from ...errors import DegenerateVolumeError, NonFiniteStateError, ZeroRecycleFlowError
 from ...kernels import OdeSystem, rk4_step
 
 N_STATES = 17
@@ -42,9 +37,6 @@ STATE_NAMES = (
     "v2", "xv2", "xt2", "glc2", "gln2", "lac2", "amm2", "mab2",
 )
 INPUT_NAMES = ("f_in", "f_r", "f_1", "f_2", "t_c", "glc_in", "amm_in")
-
-# Fitted growth/death laws hold only on this jacketed-culture band (degC).
-TEMP_RANGE = (33.0, 37.0)
 
 AVOGADRO = 6.02214076e23
 
@@ -106,18 +98,15 @@ def mu_death_max_of_temp(temp):
     return -0.0045 * np.asarray(temp, float) + 0.1682
 
 
-def growth_rates(glc, gln, lac, amm, temp, p: UpstreamParams, strict: bool = True):
+def growth_rates(glc, gln, lac, amm, temp, p: UpstreamParams):
     """Specific growth and death rates (mu, mu_d) in 1/min.
 
-    ``strict`` enforces the fitted temperature range; prediction models used
-    inside shooting controllers disable it and extrapolate the linear laws.
+    The linear temperature laws are fitted on 33..37 degC and extrapolated
+    outside it: shooting predictions may visit such temperatures, while the
+    env's state box holds the culture inside the band after every step.
     Concentrations are floored at zero to tolerate integrator undershoot.
     """
     temp = np.asarray(temp, float)
-    if strict and (np.any(temp < TEMP_RANGE[0]) or np.any(temp > TEMP_RANGE[1])):
-        raise TemperatureOutOfRangeError(
-            f"temperature outside {TEMP_RANGE} degC validity band"
-        )
     glc = np.maximum(np.asarray(glc, float), 0.0)
     gln = np.maximum(np.asarray(gln, float), 0.0)
     lac = np.maximum(np.asarray(lac, float), 0.0)
@@ -144,12 +133,7 @@ def economic_objective(state, action):
     return state[..., 7] * action[..., 2] + state[..., 16] * action[..., 3]
 
 
-def upstream_rhs(
-    state,
-    action,
-    p: UpstreamParams,
-    strict: bool = True,
-):
+def upstream_rhs(state, action, p: UpstreamParams):
     """Balance equations for all 17 states; accepts batched inputs.
 
     The bioreactor glutamine recycle term follows the pattern of every
@@ -184,7 +168,7 @@ def upstream_rhs(
                 np.where(f_1 == 0.0, 0.0, np.inf),
             )
 
-    mu, mu_d = growth_rates(glc1, gln1, lac1, amm1, temp, p, strict=strict)
+    mu, mu_d = growth_rates(glc1, gln1, lac1, amm1, temp, p)
 
     # microfiltration retention: what the recycle stream carries back
     xv_r = p.eta_rec * xv1 * ratio
@@ -245,11 +229,11 @@ def upstream_rhs(
 
 
 def upstream_system(p: UpstreamParams) -> OdeSystem:
-    """Controller view of the upstream dynamics; it extrapolates the growth
-    laws outside their fitted temperature range (``strict=False``)."""
+    """The upstream dynamics as a vectorized ``OdeSystem``: the model the env
+    steps and the shooting controllers predict with."""
     return OdeSystem(
         dim=N_STATES,
-        rhs=lambda t, x, u: upstream_rhs(x, u, p, strict=False),
+        rhs=lambda t, x, u: upstream_rhs(x, u, p),
         vectorized=True,
     )
 

@@ -2,10 +2,11 @@
 
 Biomass is split into four regions -- growing (A0), non-growing (A1),
 degenerated (A3) and autolysed (A4) -- with product, substrate and volume
-balances on top.  The rate laws feeding the balances are a self-consistent
-Monod-type demo set (``demo_monod_kinetics``), every constant of which can be
-overridden through ``kinetics_params``; it is not a calibrated industrial
-model, since validated rate parameters live outside this package.
+balances on top, written once in ``pensim_deriv``.  The rate laws feeding
+the balances are a self-consistent Monod-type demo set, every constant of
+which (``DEMO_KINETICS``) can be overridden through ``kinetics_params``; it
+is not a calibrated industrial model, since validated rate parameters live
+outside this package.
 
 Each control interval is integrated by the Dormand-Prince 5(4) pair of
 ``kernels`` with PI step-size control (relative tolerance ``rtol``,
@@ -21,7 +22,6 @@ minus the roughness of its feeding profile.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,59 +42,6 @@ H_MIN_FRACTION = 1e-10
 STATE_NAMES = ("a0_growing", "a1_nongrowing", "a3_degenerated", "a4_autolysed",
                "product", "substrate", "volume")
 ACTION_NAMES = ("f_sugar", "f_oil", "f_paa", "f_acid_base", "f_water", "f_discharge")
-
-
-class PenRates(NamedTuple):
-    """Nonnegative kinetic rates consumed by the balances (units per hour)."""
-
-    r_b: float     # branching
-    r_diff: float  # differentiation
-    r_e: float     # extension
-    r_deg: float   # degeneration
-    r_a: float     # autolysis
-    r_p: float     # product formation
-    r_h: float     # product hydrolysis
-    r_m: float     # maintenance
-
-
-def pensim_rhs(
-    state,
-    rates: PenRates,
-    action,
-    feeds: tuple[float, float],
-    f_evp: float,
-    y_sx: float,
-    y_sp: float,
-    m_s: float,
-):
-    """Region/product/substrate/volume balances.
-
-    Degeneration is a sink of A1 of its own.  A published variant multiplies
-    the A1 washout term by the degeneration rate instead; that product is
-    not dimensionally a rate, so the code takes the consistent reading.
-    """
-    a0, a1, a3, a4, p, s, v = state
-    if v <= 1e-6:
-        raise DegenerateVolumeError(f"fermenter volume {v:.3e} L below floor")
-    f_s, f_oil, f_paa, f_ab, f_w, f_dis = action
-    c_s, c_oil = feeds
-    f_in = f_s + f_oil + f_paa + f_ab + f_w  # streams entering the vessel
-
-    da0 = rates.r_b - rates.r_diff - f_in * a0 / v
-    da1 = rates.r_e - rates.r_b + rates.r_diff - rates.r_deg - f_in * a1 / v
-    da3 = rates.r_deg - rates.r_a - f_in * a3 / v
-    da4 = rates.r_a - f_in * a4 / v
-    dp = rates.r_p - rates.r_h - f_in * p / v
-    ds = (
-        -y_sx * rates.r_e
-        - y_sx * rates.r_b
-        - m_s * rates.r_m
-        - y_sp * rates.r_p
-        + f_s * c_s / v
-        + f_oil * c_oil / v
-    )
-    dv = f_in - f_evp - f_dis
-    return (da0, da1, da3, da4, dp, ds, dv)
 
 
 def pensim_reward(
@@ -122,30 +69,20 @@ DEMO_KINETICS: dict = {
 }
 
 
-def demo_monod_kinetics(state, p: dict) -> PenRates:
-    """Monod-type demo closure; production is repressed at high sugar."""
-    a0, a1, a3, _a4, pen, s, _v = state
-    s = max(float(s), 0.0)
-    mu = s / (p["ks"] + s)
-    starve = p["ks"] / (p["ks"] + s)
-    return PenRates(
-        r_b=p["k_branch"] * a1 * mu,
-        r_diff=p["k_diff"] * a0 * starve,
-        r_e=p["k_extend"] * a0 * mu,
-        r_deg=p["k_degen"] * a1 * starve,
-        r_a=p["k_autolysis"] * a3,
-        r_p=p["k_prod"] * a0 * (s / (p["kp_prod"] + s)) * (p["ki_prod"] / (p["ki_prod"] + s)),
-        r_h=p["k_hydrolysis"] * pen,
-        r_m=a0 * (s / (p["km"] + s)),
-    )
+def pensim_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s):
+    """The pensim model: ``deriv(state, action)`` over plain-float tuples.
 
+    ``kin`` holds the constants of the ``DEMO_KINETICS`` rate laws, which
+    feed the region/product/substrate/volume balances; ``feeds`` are the
+    sugar and oil feed concentrations (g/L) and ``evp_rate * V`` is the
+    evaporation flow.  The rate laws read the substrate clamped at zero, and
+    a volume at or below 1e-6 L raises ``DegenerateVolumeError``.  The
+    constants are bound once, as closure locals, because a full batch takes
+    about 30000 evaluations.
 
-def _fused_demo_monod_deriv(kin: dict, feeds, evp_rate, y_sx, y_sp, m_s):
-    """Demo kinetics and balances fused into one closure with local constants.
-
-    Semantically identical to composing ``demo_monod_kinetics`` with
-    ``pensim_rhs`` (pinned by a test); exists because a full batch takes
-    about 30000 rhs evaluations and the composed path pays for it.
+    Degeneration is a sink of A1 of its own.  A published variant multiplies
+    the A1 washout term by the degeneration rate instead; that product is
+    not dimensionally a rate, so the code takes the consistent reading.
     """
     ks, km = kin["ks"], kin["km"]
     k_b, k_e, k_diff = kin["k_branch"], kin["k_extend"], kin["k_diff"]
@@ -217,7 +154,7 @@ class PenSimEnv(ProcessEnv):
 
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
-        self.kinetics_params = {**DEMO_KINETICS, **cfg["kinetics_params"]}
+        self.kinetics_params = deep_merge(DEMO_KINETICS, cfg["kinetics_params"])
         self.step_hours = require_positive("step_hours", float(cfg["step_hours"]))
         self.rtol = require_positive("rtol", float(cfg["rtol"]))
         self.feeds = (float(cfg["feed_sugar"]), float(cfg["feed_oil"]))
@@ -248,28 +185,10 @@ class PenSimEnv(ProcessEnv):
             state_box_tol=1e-9,
         )
         self._prev_action: np.ndarray | None = None
-        self._deriv = _fused_demo_monod_deriv(
+        self._deriv = pensim_deriv(
             self.kinetics_params,
             self.feeds,
             self.evaporation_rate,
-            self.y_sx,
-            self.y_sp,
-            self.m_s,
-        )
-
-    # -- model pieces ------------------------------------------------------
-
-    def rates(self, state) -> PenRates:
-        return demo_monod_kinetics(state, self.kinetics_params)
-
-    def rhs_tuple(self, state, action):
-        f_evp = self.evaporation_rate * state[6]
-        return pensim_rhs(
-            state,
-            self.rates(state),
-            action,
-            self.feeds,
-            f_evp,
             self.y_sx,
             self.y_sp,
             self.m_s,

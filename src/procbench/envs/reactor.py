@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DegenerateLevelError
 from ..kernels import OdeSystem, integrate, solve_steady_state
 from ..spaces import ContinuousSpace
-from .base import ProcessEnv, deep_merge, require_positive
+from .base import ProcessEnv, deep_merge, replace_fields, require_positive
 
 STATE_NAMES = ("c_a", "temp", "level")
 
@@ -153,7 +153,7 @@ class ReactorEnv(ProcessEnv):
 
     def __init__(self, config: dict | None = None):
         cfg = deep_merge(DEFAULT_CONFIG, config)
-        self.params = CstrParams(**cfg["params"])
+        self.params = replace_fields("params", CstrParams(), cfg["params"])
         self.control_minutes = require_positive(
             "control_minutes", float(cfg["control_minutes"])
         )

@@ -36,10 +36,6 @@ class ZeroRecycleFlowError(SimulationError):
     """Recycle-stream concentrations requested with zero recycle flow."""
 
 
-class TemperatureOutOfRangeError(SimulationError):
-    """Temperature left the range where the fitted growth laws hold."""
-
-
 class ZeroModifierError(SimulationError):
     """Elution isotherm evaluated with a vanishing modifier concentration."""
 

@@ -127,7 +127,6 @@ def integrate(
     u: np.ndarray,
     duration: float,
     h: float,
-    check: bool = True,
 ) -> np.ndarray:
     """Advance ``x0`` over ``duration`` with fixed RK4 steps of size ``h``.
 
@@ -146,11 +145,11 @@ def integrate(
     n_full = int(np.floor(duration / h + 1e-9))
     t = t0
     for _ in range(n_full):
-        x = rk4_step(sys, t, x, u, h, check=check)
+        x = rk4_step(sys, t, x, u, h)
         t += h
     rem = duration - n_full * h
     if rem > 1e-12 * max(1.0, duration):
-        x = rk4_step(sys, t, x, u, rem, check=check)
+        x = rk4_step(sys, t, x, u, rem)
     return x
 
 

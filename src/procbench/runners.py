@@ -146,7 +146,9 @@ def _bo_hyperopt_schedule(n: int) -> bool:
 
 def _bo_rollout(env, episodes, seed, record_sink=None, segments: int = 6):
     """Sequential GP-EI search over feed profiles; each evaluation is one
-    recorded episode."""
+    recorded episode.  Pensim is the one env it supports."""
+    if env.name != "pensim":
+        raise ValueError(f"unsupported env/controller pair: {env.name}/bo")
     lo, hi = _profile_box(env, segments)
     results = []
     counter = {"i": 0}

@@ -159,6 +159,45 @@ def test_env_var_config_fallback(tmp_path, capsys, monkeypatch):
     assert report["metadata"]["max_steps"] == 9
 
 
+@pytest.mark.parametrize(
+    "env,section",
+    [
+        ("pensim", "kinetics_params"),
+        ("beer", "kinetics_params"),
+        ("reactor", "params"),
+        ("mab", "params"),
+        ("mab", "capture"),
+        ("mab", "elution"),
+        ("mab", "cex"),
+        ("mab", "aex"),
+        ("mab", "loop"),
+    ],
+)
+def test_misspelled_sub_config_key_is_one_line_exit_1(env, section, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({env: {section: {"lenght": 5.0}}}))
+    assert main(["validate", "--env", env, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: KeyError: ")
+    assert "unknown config key: 'lenght'" in captured.err
+
+
+@pytest.mark.parametrize("env", ["reactor", "atropine", "beer", "mab"])
+def test_bo_on_an_env_other_than_pensim_exits_1(env, tmp_path, capsys):
+    for argv in (["rollout"], ["dataset", "--out", str(tmp_path / "ds")]):
+        code = main([*argv, "--env", env, "--controller", "bo",
+                     "--episodes", "1", "--seed", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: unsupported env/controller pair: {env}/bo\n"
+        )
+    assert not (tmp_path / "ds").exists()
+
+
 def test_malformed_meta_is_one_line_error(tmp_path, capsys):
     (tmp_path / "meta.json").write_text(
         json.dumps({"format_version": "1", "env": "pensim"})
