@@ -55,7 +55,10 @@ def load_config(path: str | None) -> dict:
 
 
 def env_config(cfg: dict, env_name: str) -> dict | None:
-    return cfg.get(env_name)
+    value = cfg.get(env_name)
+    if value is not None and not isinstance(value, dict):
+        raise ValueError(f"config key {env_name!r} must be an object, got {value!r}")
+    return value
 
 
 def validate_env(name: str, config: dict | None = None) -> list[tuple[str, bool, str]]:
@@ -76,7 +79,7 @@ def validate_env(name: str, config: dict | None = None) -> list[tuple[str, bool,
         )
 
     r_min = env.reward_floor()
-    ok = validate_episode_config(env.episode_config(), r_min)
+    ok = validate_episode_config(env.error_reward, env.max_steps, r_min)
     checks.append(
         (
             f"{name}.error_reward_inequality",

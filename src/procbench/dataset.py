@@ -1,10 +1,12 @@
 """Offline-dataset recording, persistence and summary statistics.
 
 A dataset is a flat table of transitions (observation, action, reward,
-terminal, timeout) tagged by episode and step, plus a metadata header.  On
-disk it is a directory holding ``meta.json`` and ``data.csv``; numbers are
-written with 17 significant digits, which round-trips IEEE doubles exactly,
-so write -> read -> write reproduces identical bytes.
+terminal, timeout) tagged by episode and step, plus a metadata header.
+``DatasetRecorder`` takes the rows one at a time, checks that each episode
+ends at its first terminal or timeout row, and stacks them into arrays.  On
+disk a dataset is a directory holding ``meta.json`` and ``data.csv``;
+numbers are written with 17 significant digits, which round-trips IEEE
+doubles exactly, so write -> read -> write reproduces identical bytes.
 
 A failed step stores the error reward as that step's reward with
 terminal=1, so failure episodes are recognizable as terminal rows carrying
@@ -67,46 +69,13 @@ class Dataset:
         return self.rewards.size
 
 
-@dataclass
-class TrajectoryRecord:
-    """One episode's ordered transitions.
-
-    At most one closing (terminal or timeout) row, and it is the last one;
-    the length never exceeds the episode cap.
-    """
-
-    episode_id: int
-    transitions: list[tuple] = None  # (obs, action, reward, terminal, timeout)
-
-    def __post_init__(self):
-        if self.transitions is None:
-            self.transitions = []
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-    @property
-    def closed(self) -> bool:
-        return bool(self.transitions) and (
-            self.transitions[-1][3] or self.transitions[-1][4]
-        )
-
-    def append(self, observation, action, reward, terminal, timeout) -> None:
-        if self.closed:
-            raise InvalidEpisodeError(
-                "episode closed by a terminal/timeout row; begin a new one"
-            )
-        self.transitions.append(
-            (observation, action, float(reward), bool(terminal), bool(timeout))
-        )
-
-
 class DatasetRecorder:
     """Row-at-a-time sink enforcing episode structure.
 
     Episodes open with ``begin_episode`` and close themselves on the first
-    terminal or timeout row; recording past a closed episode (or past
-    ``max_steps``) raises.
+    terminal or timeout row, so an episode holds at most one closing row,
+    its last.  Recording past a closed episode (or past ``max_steps`` rows)
+    raises.  ``finish`` stacks the rows into a ``Dataset``.
     """
 
     def __init__(self, env_name, baseline, a_dim, o_dim, max_steps,
@@ -118,60 +87,56 @@ class DatasetRecorder:
         self.max_steps = int(max_steps)
         self.error_reward = float(error_reward)
         self.seed = int(seed)
-        self._episodes: list[TrajectoryRecord] = []
-        self._current: TrajectoryRecord | None = None
+        # (episode_id, step, observation, action, reward, terminal, timeout)
+        self._rows: list[tuple] = []
+        self._episodes = 0   # episodes begun
+        self._length = 0     # rows of the last episode begun
+        self._open = False   # the last episode has no closing row yet
 
     def begin_episode(self) -> int:
-        if self._current is not None and not self._current.closed:
+        if self._open:
             raise InvalidEpisodeError("previous episode is still open")
-        self._current = TrajectoryRecord(episode_id=len(self._episodes))
-        self._episodes.append(self._current)
-        return self._current.episode_id
+        self._episodes += 1
+        self._length = 0
+        self._open = True
+        return self._episodes - 1
 
     def record(self, observation, action, reward, terminal, timeout) -> None:
-        if self._current is None:
+        if not self._episodes:
             raise InvalidEpisodeError("begin_episode() before recording")
-        observation = np.asarray(observation, float)
-        action = np.asarray(action, float)
+        observation = np.array(observation, dtype=float)
+        action = np.array(action, dtype=float)
         if observation.shape != (self.o_dim,):
             raise DimMismatchError(
                 f"observation dim {observation.shape} != ({self.o_dim},)"
             )
         if action.shape != (self.a_dim,):
             raise DimMismatchError(f"action dim {action.shape} != ({self.a_dim},)")
-        if len(self._current) >= self.max_steps:
+        if self._length >= self.max_steps:
             raise InvalidEpisodeError("episode exceeded max_steps")
-        self._current.append(
-            observation.copy(), action.copy(), reward, terminal, timeout
-        )
+        if not self._open:
+            raise InvalidEpisodeError(
+                "episode closed by a terminal/timeout row; begin a new one"
+            )
+        terminal, timeout = bool(terminal), bool(timeout)
+        self._rows.append((self._episodes - 1, self._length, observation, action,
+                           float(reward), terminal, timeout))
+        self._length += 1
+        self._open = not (terminal or timeout)
 
     def finish(self) -> Dataset:
-        if self._current is not None and not self._current.closed:
+        if self._open:
             raise InvalidEpisodeError("cannot finish with an open episode")
-        n = sum(len(ep) for ep in self._episodes)
-        obs = np.zeros((n, self.o_dim))
-        act = np.zeros((n, self.a_dim))
-        episode_ids = np.zeros(n, dtype=np.int64)
-        steps = np.zeros(n, dtype=np.int64)
-        rewards = np.zeros(n)
-        terminals = np.zeros(n, dtype=bool)
-        timeouts = np.zeros(n, dtype=bool)
-        i = 0
-        for ep in self._episodes:
-            for st, (o, a, r, term, tout) in enumerate(ep.transitions):
-                episode_ids[i] = ep.episode_id
-                steps[i] = st
-                obs[i] = o
-                act[i] = a
-                rewards[i] = r
-                terminals[i] = term
-                timeouts[i] = tout
-                i += 1
+        n = len(self._rows)
+        ids, steps, obs, act, rewards, terminals, timeouts = (
+            zip(*self._rows) if n else ((),) * 7
+        )
+        rewards = np.array(rewards, dtype=float)
         mean, std = _stats_arrays(rewards) if n else (0.0, 0.0)
         meta = DatasetMeta(
             env=self.env_name,
             baseline=self.baseline,
-            traj_count=len(self._episodes),
+            traj_count=self._episodes,
             a_dim=self.a_dim,
             o_dim=self.o_dim,
             max_steps=self.max_steps,
@@ -180,7 +145,16 @@ class DatasetRecorder:
             reward_std=float(std),
             seed=self.seed,
         )
-        return Dataset(meta, episode_ids, steps, obs, act, rewards, terminals, timeouts)
+        return Dataset(
+            meta,
+            np.array(ids, dtype=np.int64),
+            np.array(steps, dtype=np.int64),
+            np.array(obs, dtype=float).reshape(n, self.o_dim),
+            np.array(act, dtype=float).reshape(n, self.a_dim),
+            rewards,
+            np.array(terminals, dtype=bool),
+            np.array(timeouts, dtype=bool),
+        )
 
 
 def _stats_arrays(rewards: np.ndarray):

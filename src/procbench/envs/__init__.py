@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .atropine import AtropineEnv
-from .base import EpisodeConfig, ProcessEnv, StepResult, validate_episode_config
+from .base import ProcessEnv, StepResult, validate_episode_config
 from .beer import BeerEnv
 from .mab.env import MabEnv
 from .pensim import PenSimEnv
@@ -32,7 +32,6 @@ __all__ = [
     "ENVIRONMENTS",
     "make_env",
     "ProcessEnv",
-    "EpisodeConfig",
     "StepResult",
     "validate_episode_config",
     "ReactorEnv",

@@ -21,19 +21,6 @@ from ..errors import EpisodeFinishedError, SimulationError
 from ..spaces import ContinuousSpace
 
 
-@dataclass(frozen=True)
-class EpisodeConfig:
-    max_steps: int
-    error_reward: float
-    action_space: ContinuousSpace
-    observation_space: ContinuousSpace
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-
-
 @dataclass
 class StepResult:
     observation: np.ndarray
@@ -43,10 +30,10 @@ class StepResult:
     failure: bool
 
 
-def validate_episode_config(cfg: EpisodeConfig, r_min: float) -> bool:
+def validate_episode_config(error_reward: float, max_steps: int, r_min: float) -> bool:
     """True iff the failure reward is at least as punishing as the worst
     full-length episode: ``error_reward <= r_min * max_steps``."""
-    return bool(cfg.error_reward <= float(r_min) * cfg.max_steps)
+    return bool(error_reward <= float(r_min) * max_steps)
 
 
 def deep_merge(base: dict, override: dict | None) -> dict:
@@ -56,16 +43,19 @@ def deep_merge(base: dict, override: dict | None) -> dict:
     that is an empty dict: such a sub-config overrides defaults held outside
     the config (a kinetics dict or a parameter dataclass), and the env that
     applies it rejects its unknown keys through ``deep_merge`` or
-    ``replace_fields``.
+    ``replace_fields``.  A key whose default is a dict takes only a dict;
+    any other value raises ``ValueError`` naming the key.
     """
     merged = copy.deepcopy(base)
     for key, value in (override or {}).items():
         if key not in merged:
             raise KeyError(f"unknown config key: {key!r}")
-        if isinstance(merged[key], dict) and isinstance(value, dict) and merged[key]:
-            merged[key] = deep_merge(merged[key], value)
-        else:
-            merged[key] = value
+        if isinstance(merged[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must be an object, got {value!r}")
+            if merged[key]:
+                value = deep_merge(merged[key], value)
+        merged[key] = value
     return merged
 
 
@@ -117,7 +107,7 @@ class ProcessEnv:
         state_box: ContinuousSpace,
         state_box_tol: float = 0.0,
     ):
-        self.max_steps = int(max_steps)
+        self.max_steps = require_positive("max_steps", int(max_steps))
         self.error_reward = float(error_reward)
         self.action_space = action_space
         self.observation_space = observation_space
@@ -214,15 +204,6 @@ class ProcessEnv:
         )
 
     # -- introspection ---------------------------------------------------
-
-    def episode_config(self, seed: int = 0) -> EpisodeConfig:
-        return EpisodeConfig(
-            max_steps=self.max_steps,
-            error_reward=self.error_reward,
-            action_space=self.action_space,
-            observation_space=self.observation_space,
-            seed=seed,
-        )
 
     def metadata(self) -> dict[str, Any]:
         return {

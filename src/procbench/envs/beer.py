@@ -5,16 +5,15 @@ diacetyls and ethyl acetate.  The control objective is time-optimal: finish
 fermenting (sugar below a target) as early as possible.  Each step while
 unfinished costs -1; the completing step pays the number of steps saved.
 
-The temperature-dependent rate values come from ``demo_beer_kinetics``, a
-documented demo with simple exponential temperature laws, calibrated so that
-warm fermentations finish within the episode and cold ones do not.  It is
-not a validated industrial parameter set; every constant can be overridden
-through ``kinetics_params``.
+The model is written once, in ``beer_deriv``: demo rate laws, exponential
+in temperature and calibrated so that warm fermentations finish within the
+episode and cold ones do not, feeding the seven balances.  The rate laws are
+not a validated industrial parameter set; every constant of
+``DEMO_KINETICS`` can be overridden through ``kinetics_params``, and is
+bound into the model when the env is built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,41 +23,6 @@ from .base import ProcessEnv, deep_merge, require_positive
 
 STATE_NAMES = ("x_active", "x_latent", "x_dead", "sugar", "ethanol",
                "diacetyl", "ethyl_acetate")
-
-
-@dataclass(frozen=True)
-class BeerRates:
-    """Rate bundle consumed by the component balances.
-
-    Sign conventions: ``mu_s <= 0`` (sugar consumption), ``mu_eth >= 0``
-    (ethanol production, already including the inhibition factor f).
-    """
-
-    mu_x: float       # active-cell growth, 1/h
-    mu_dt: float      # active-cell death, 1/h
-    mu_l: float       # latent-cell activation, 1/h
-    mu_sd: float      # dead-cell settling term coefficient, 1/h
-    mu_s: float       # specific sugar uptake, g/(g h), <= 0
-    mu_eth: float     # specific ethanol production incl. inhibition, g/(g h)
-    mu_dy: float      # diacetyl formation coefficient, L/(g h)
-    mu_ab: float      # diacetyl reduction coefficient, L/(g h)
-    y_ea: float       # ethyl acetate yield on growth, g/g
-
-
-def beer_rhs(state, rates: BeerRates) -> np.ndarray:
-    """Component balances for (X_A, X_L, X_D, S, EtOH, DY, EA)."""
-    x_a, x_l, x_d, s, etoh, dy, _ea = np.asarray(state, dtype=float)
-    return np.array(
-        [
-            rates.mu_x * x_a - rates.mu_dt * x_a + rates.mu_l * x_l,
-            -rates.mu_l * x_l,
-            rates.mu_sd * x_d + rates.mu_dt * x_a,
-            rates.mu_s * x_a,
-            rates.mu_eth * x_a,
-            rates.mu_dy * s * x_a - rates.mu_ab * dy * etoh,
-            rates.y_ea * rates.mu_x * x_a,
-        ]
-    )
 
 
 def beer_reward(
@@ -93,26 +57,51 @@ DEMO_KINETICS: dict = {
 }
 
 
-def demo_beer_kinetics(state, temperature: float, p: dict) -> BeerRates:
-    """Exponential-in-temperature demo closure (not a validated data set)."""
-    _x_a, _x_l, _x_d, s, etoh, _dy, _ea = state
-    s = max(float(s), 0.0)
-    dt_rel = temperature - p["t_ref"]
-    uptake = (
-        p["k_sugar"] * np.exp(p["a_sugar"] * dt_rel) * s / (p["ks_sugar"] + s)
-    )
-    inhibition = 1.0 / (1.0 + max(float(etoh), 0.0) / p["ethanol_inhibition"])
-    return BeerRates(
-        mu_x=p["k_growth"] * np.exp(p["a_growth"] * dt_rel) * s / (p["ks_growth"] + s),
-        mu_dt=p["k_death"] * np.exp(p["a_death"] * dt_rel),
-        mu_l=p["k_lag"] * np.exp(p["a_lag"] * dt_rel),
-        mu_sd=p["k_settle"],
-        mu_s=-uptake,
-        mu_eth=p["ethanol_yield"] * uptake * inhibition,
-        mu_dy=p["k_dy"] * np.exp(p["a_dy"] * dt_rel),
-        mu_ab=p["k_ab"] * np.exp(p["a_ab"] * dt_rel),
-        y_ea=p["y_ea"],
-    )
+def beer_deriv(kin: dict):
+    """The beer model: ``deriv(t, x, u)``, the ``OdeSystem`` right-hand side
+    over the state array (X_A, X_L, X_D, S, EtOH, DY, EA) at the temperature
+    ``u[0]``.
+
+    ``kin`` holds the ``DEMO_KINETICS`` constants of the exponential-in-
+    temperature rate laws, which read sugar and ethanol clamped at zero; the
+    component balances read the raw state.  The constants are bound once, as
+    closure locals, because one control step takes 40 evaluations.  The
+    rates use ``np.exp``: ``math.exp`` rounds some inputs differently, which
+    would change recorded datasets.
+    """
+    t_ref = kin["t_ref"]
+    k_lag, a_lag = kin["k_lag"], kin["a_lag"]
+    k_growth, a_growth, ks_growth = kin["k_growth"], kin["a_growth"], kin["ks_growth"]
+    k_sugar, a_sugar, ks_sugar = kin["k_sugar"], kin["a_sugar"], kin["ks_sugar"]
+    k_death, a_death, k_settle = kin["k_death"], kin["a_death"], kin["k_settle"]
+    eth_yield, eth_inhibition = kin["ethanol_yield"], kin["ethanol_inhibition"]
+    k_dy, a_dy, k_ab, a_ab = kin["k_dy"], kin["a_dy"], kin["k_ab"], kin["a_ab"]
+    y_ea = kin["y_ea"]
+
+    def deriv(t, x, u):
+        x_a, x_l, x_d, s, etoh, dy, _ea = x.tolist()
+        sp = max(s, 0.0)
+        dt_rel = float(u[0]) - t_ref
+        uptake = k_sugar * np.exp(a_sugar * dt_rel) * sp / (ks_sugar + sp)
+        inhibition = 1.0 / (1.0 + max(etoh, 0.0) / eth_inhibition)
+        mu_x = k_growth * np.exp(a_growth * dt_rel) * sp / (ks_growth + sp)
+        mu_dt = k_death * np.exp(a_death * dt_rel)
+        mu_l = k_lag * np.exp(a_lag * dt_rel)
+        mu_dy = k_dy * np.exp(a_dy * dt_rel)
+        mu_ab = k_ab * np.exp(a_ab * dt_rel)
+        return np.array(
+            [
+                mu_x * x_a - mu_dt * x_a + mu_l * x_l,
+                -mu_l * x_l,
+                k_settle * x_d + mu_dt * x_a,
+                -uptake * x_a,
+                eth_yield * uptake * inhibition * x_a,
+                mu_dy * s * x_a - mu_ab * dy * etoh,
+                y_ea * mu_x * x_a,
+            ]
+        )
+
+    return deriv
 
 
 DEFAULT_CONFIG: dict = {
@@ -145,8 +134,7 @@ class BeerEnv(ProcessEnv):
         self.x0 = np.asarray(cfg["initial_state"], dtype=float)
         self.init_jitter_rel = float(cfg["init_jitter_rel"])
         self.system = OdeSystem(
-            dim=len(STATE_NAMES),
-            rhs=lambda t, x, u: beer_rhs(x, self.rates(x, float(u[0]))),
+            dim=len(STATE_NAMES), rhs=beer_deriv(self.kinetics_params)
         )
 
         state_box = ContinuousSpace(
@@ -164,9 +152,6 @@ class BeerEnv(ProcessEnv):
             state_box=state_box,
             state_box_tol=1e-9,
         )
-
-    def rates(self, state, temperature: float) -> BeerRates:
-        return demo_beer_kinetics(state, temperature, self.kinetics_params)
 
     def _draw_initial_state(self, rng: np.random.Generator) -> np.ndarray:
         state = self.x0.copy()

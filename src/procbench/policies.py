@@ -86,22 +86,17 @@ class ReactorPidPolicy(Policy):
     variable), hence the negative gains.
     """
 
-    def __init__(self, env: ReactorEnv, gains: dict | None = None):
-        g = {
-            "level_kp": -0.08, "level_ki": -0.015,
-            "conc_kp": -100.0, "conc_ki": -15.0,
-        }
-        g.update(gains or {})
+    def __init__(self, env: ReactorEnv):
         self.env = env
         ca_sp, h_sp = env.setpoint
         self.setpoints = (ca_sp, h_sp)
         self.level = PidGains(
-            k_p=g["level_kp"], k_i=g["level_ki"],
+            k_p=-0.08, k_i=-0.015,
             u_min=env.action_space.low[0], u_max=env.action_space.high[0],
             bias=env.u_nominal[0],
         )
         self.conc = PidGains(
-            k_p=g["conc_kp"], k_i=g["conc_ki"],
+            k_p=-100.0, k_i=-15.0,
             u_min=env.action_space.low[1], u_max=env.action_space.high[1],
             bias=env.u_nominal[1],
         )
@@ -189,17 +184,15 @@ def reactor_empc_spec(env: ReactorEnv, horizon: int = 20) -> EmpcSpec:
 class AtropineMpcPolicy(Policy):
     """Output tracking on the identified deviation model.
 
-    The shared projected solver minimizes the cost of exact linear rollouts
-    of the discrete model, starting from the steady flows or the shifted
+    The shared projected solver minimizes the squared output deviations plus
+    0.05 times the squared input deviations over exact linear rollouts of
+    the discrete model, starting from the steady flows or the shifted
     previous solution.
     """
 
-    def __init__(self, env: AtropineEnv, horizon: int = 20,
-                 output_weight: float = 1.0, input_weight: float = 0.05):
+    def __init__(self, env: AtropineEnv, horizon: int = 20):
         self.env = env
         self.horizon = horizon
-        self.output_weight = output_weight
-        self.input_weight = input_weight
         self._warm = None
         self.last_solution: MpcSolution | None = None
 
@@ -218,8 +211,8 @@ class AtropineMpcPolicy(Policy):
     def _cost_batch(self, x0, u_abs_batch):
         u_dev = u_abs_batch - self.env.q_steady
         ys = self._rollout_outputs(x0, u_dev)
-        cost = self.output_weight * np.sum(ys**2, axis=-1)
-        return cost + self.input_weight * np.sum(u_dev**2, axis=(-2, -1))
+        cost = np.sum(ys**2, axis=-1)
+        return cost + 0.05 * np.sum(u_dev**2, axis=(-2, -1))
 
     def act(self, observation):
         x_hat = observation[:2]
@@ -236,14 +229,14 @@ class AtropineMpcPolicy(Policy):
         return sol.u0
 
 
-def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
-                   setpoint: tuple | None = None) -> ShootingPolicy:
+def mab_mpc_policy(env: MabEnv, horizon: int = 100,
+                   economic: bool = False) -> ShootingPolicy:
     """Upstream-model shooting controller for the integrated plant.
 
     Predicts with the 17-state upstream model only and solves for the seven
     upstream inputs; the two downstream pump velocities are held at 2 cm/min.
-    The tracking controller's default setpoint is the initial upstream state
-    under a balanced feed.
+    The tracking controller's setpoint is the initial upstream state under a
+    balanced feed.
     """
     system = upstream_system(env.params)
     u_lo = env.action_space.low[:7]
@@ -257,10 +250,8 @@ def mab_mpc_policy(env: MabEnv, horizon: int = 100, economic: bool = False,
             n_substeps=4, max_iterations=25, grad_tol=1e-4,
         )
     else:
-        if setpoint is None:
-            setpoint = (env.initial_upstream,
-                        np.array([0.05, 0.1, 0.15, 0.05, 36.5, 50.0, 0.0]))
-        x_s, u_s = setpoint
+        x_s = env.initial_upstream
+        u_s = np.array([0.05, 0.1, 0.15, 0.05, 36.5, 50.0, 0.0])
         scale = np.where(np.abs(x_s) > 1e-9, np.abs(x_s), 1.0)
         spec = MpcSpec(
             horizon=horizon, dt=60.0,
@@ -285,7 +276,7 @@ def make_policy(env, controller: str, options: dict | None = None) -> Policy:
     name = env.name
     if name == "reactor":
         if controller == "pid":
-            return ReactorPidPolicy(env, options.get("gains"))
+            return ReactorPidPolicy(env)
         if controller == "mpc":
             spec = reactor_mpc_spec(env, horizon=options.get("horizon", 20))
             return ShootingPolicy(spec, env.system, lambda obs: obs)
@@ -296,6 +287,5 @@ def make_policy(env, controller: str, options: dict | None = None) -> Policy:
         return AtropineMpcPolicy(env, horizon=options.get("horizon", 20))
     if name == "mab" and controller in ("mpc", "empc"):
         return mab_mpc_policy(env, horizon=options.get("horizon", 100),
-                              economic=controller == "empc",
-                              setpoint=options.get("setpoint"))
+                              economic=controller == "empc")
     raise ValueError(f"unsupported env/controller pair: {name}/{controller}")

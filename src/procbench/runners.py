@@ -229,7 +229,7 @@ def generate_dataset(
                 recorder.record(obs, action, reward, terminal, timeout)
     ds = recorder.finish()
     ds.meta.inequality_checked = validate_episode_config(
-        env.episode_config(seed), env.reward_floor()
+        env.error_reward, env.max_steps, env.reward_floor()
     )
     if out_dir is not None:
         write_dataset(ds, out_dir)

@@ -184,6 +184,50 @@ def test_misspelled_sub_config_key_is_one_line_exit_1(env, section, tmp_path, ca
     assert "unknown config key: 'lenght'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "env,config,key",
+    [
+        ("pensim", {"kinetics_params": 0}, "kinetics_params"),
+        ("pensim", {"kinetics_params": 5}, "kinetics_params"),
+        ("mab", {"capture": 5}, "capture"),
+        ("mab", {"grids": 3}, "grids"),
+        ("reactor", 0, "reactor"),
+        ("reactor", 5, "reactor"),
+        ("reactor", {"params": 0}, "params"),
+    ],
+)
+def test_non_object_sub_config_is_one_line_exit_1(env, config, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({env: config}))
+    assert main(["validate", "--env", env, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: ValueError: config key {key!r} must be an object")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rollout", "--controller", "pid"],
+        ["dataset", "--controller", "pid", "--out", "ds"],
+        ["validate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_max_steps_below_one_is_one_line_exit_1(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reactor": {"max_steps": 0}}))
+    argv = [str(tmp_path / a) if a == "ds" else a for a in argv]
+    assert main([*argv, "--env", "reactor", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ValueError: config key 'max_steps' must be positive, got 0\n"
+    )
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("env", ["reactor", "atropine", "beer", "mab"])
 def test_bo_on_an_env_other_than_pensim_exits_1(env, tmp_path, capsys):
     for argv in (["rollout"], ["dataset", "--out", str(tmp_path / "ds")]):

@@ -256,12 +256,26 @@ def test_reactor_episode_rows_capped_at_100():
     assert len(rows) == 2 and np.all(rows <= 100)
 
 
-def test_trajectory_record_invariants():
-    from procbench.dataset import TrajectoryRecord
-
-    record = TrajectoryRecord(episode_id=4)
-    record.append([0.0], [0.0], 1.0, False, False)
-    record.append([0.0], [0.0], 1.0, True, False)
-    assert record.closed and len(record) == 2
-    with pytest.raises(InvalidEpisodeError):
-        record.append([0.0], [0.0], 1.0, False, False)
+def test_recorder_episode_invariants():
+    """Each episode ends at its first terminal or timeout row, which no row
+    may follow; rows count from step 0 within their episode; no episode may
+    stay open across ``begin_episode`` or ``finish``."""
+    rec = recorder()
+    with pytest.raises(InvalidEpisodeError, match="begin_episode"):
+        rec.record(np.zeros(3), np.zeros(2), 1.0, False, False)
+    for episode, closing in enumerate(((True, False), (False, True))):
+        assert rec.begin_episode() == episode
+        with pytest.raises(InvalidEpisodeError, match="still open"):
+            rec.begin_episode()
+        rec.record(np.zeros(3), np.zeros(2), 1.0, False, False)
+        with pytest.raises(InvalidEpisodeError, match="open episode"):
+            rec.finish()
+        rec.record(np.zeros(3), np.zeros(2), 1.0, *closing)
+        with pytest.raises(InvalidEpisodeError, match="closed"):
+            rec.record(np.zeros(3), np.zeros(2), 1.0, False, False)
+    ds = rec.finish()
+    assert ds.meta.traj_count == 2
+    assert ds.episode_ids.tolist() == [0, 0, 1, 1]
+    assert ds.steps.tolist() == [0, 1, 0, 1]
+    assert ds.terminals.tolist() == [False, True, False, False]
+    assert ds.timeouts.tolist() == [False, False, False, True]

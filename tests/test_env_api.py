@@ -206,16 +206,10 @@ def test_no_reward_below_error_reward():
 
 
 def test_validate_episode_config_examples():
-    box = ContinuousSpace(np.zeros(1), np.ones(1))
-
-    def cfg(max_steps, error_reward):
-        from procbench.envs.base import EpisodeConfig
-
-        return EpisodeConfig(max_steps, error_reward, box, box)
-
-    assert validate_episode_config(cfg(100, -1000.0), r_min=-10.0)
-    assert validate_episode_config(cfg(200, -200.0), r_min=-1.0)
-    assert not validate_episode_config(cfg(10, 0.0), r_min=-1.0)
+    assert validate_episode_config(-1000.0, 100, r_min=-10.0)
+    assert validate_episode_config(-200.0, 200, r_min=-1.0)
+    assert not validate_episode_config(0.0, 10, r_min=-1.0)
+    assert not validate_episode_config(-199.0, 200, r_min=-1.0)
 
 
 def test_episodic_configuration_rows():
@@ -234,7 +228,9 @@ def test_episodic_configuration_rows():
 def test_caption_inequality_all_envs():
     for name in ENVIRONMENTS:
         env = make_env(name)
-        assert validate_episode_config(env.episode_config(), env.reward_floor()), name
+        assert validate_episode_config(
+            env.error_reward, env.max_steps, env.reward_floor()
+        ), name
 
 
 @pytest.mark.parametrize(
